@@ -157,5 +157,3 @@ void ablation_report(Report& rep, const ScenarioParams&,
 
 }  // namespace
 }  // namespace ktau::expt
-
-KTAU_BENCH_MAIN("ablation_knobs")

@@ -148,5 +148,3 @@ void trace_buffer_report(Report& rep, const ScenarioParams&,
 
 }  // namespace
 }  // namespace ktau::expt
-
-KTAU_BENCH_MAIN("ablation_trace_buffer")

@@ -262,5 +262,3 @@ void adapt_report(Report& rep, const ScenarioParams& p,
 
 }  // namespace
 }  // namespace ktau::expt
-
-KTAU_BENCH_MAIN("adapt")

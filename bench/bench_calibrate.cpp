@@ -77,5 +77,3 @@ void calibrate_report(Report& rep, const ScenarioParams&,
 
 }  // namespace
 }  // namespace ktau::expt
-
-KTAU_BENCH_MAIN("calibrate")

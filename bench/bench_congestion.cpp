@@ -202,5 +202,3 @@ void congestion_report(Report& rep, const ScenarioParams&,
 
 }  // namespace
 }  // namespace ktau::expt
-
-KTAU_BENCH_MAIN("congestion")

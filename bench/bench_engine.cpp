@@ -705,5 +705,3 @@ void engine_scale_report(Report& rep, const ScenarioParams&,
 
 }  // namespace
 }  // namespace ktau::expt
-
-KTAU_BENCH_MAIN("engine")

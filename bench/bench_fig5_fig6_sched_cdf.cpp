@@ -102,5 +102,3 @@ void fig56_report(Report& rep, const ScenarioParams&,
 
 }  // namespace
 }  // namespace ktau::expt
-
-KTAU_BENCH_MAIN("fig5_fig6")

@@ -106,5 +106,3 @@ void fig910_report(Report& rep, const ScenarioParams&,
 
 }  // namespace
 }  // namespace ktau::expt
-
-KTAU_BENCH_MAIN("fig9_fig10")

@@ -205,5 +205,3 @@ void ktaud_report(Report& rep, const ScenarioParams&,
 
 }  // namespace
 }  // namespace ktau::expt
-
-KTAU_BENCH_MAIN("ktaud_scale")

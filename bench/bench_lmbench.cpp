@@ -135,5 +135,3 @@ void lmbench_report(Report& rep, const ScenarioParams&,
 
 }  // namespace
 }  // namespace ktau::expt
-
-KTAU_BENCH_MAIN("lmbench")

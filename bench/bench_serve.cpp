@@ -183,5 +183,3 @@ void serve_report(Report& rep, const ScenarioParams&,
 
 }  // namespace
 }  // namespace ktau::expt
-
-KTAU_BENCH_MAIN("serve")

@@ -1,16 +1,11 @@
 // Table 4 reproduction: "Direct Overheads (cycles)" — the distribution of
 // KTAU's per-probe start/stop cost.
 //
-// Two parts:
-//  1. The simulated-testbed numbers: KTAU's own overhead tracking (the
-//     paper's "internal KTAU timing/overhead query utilities") during an
-//     instrumented LU run, in 450 MHz cycles.  Paper: start mean 244.4 /
-//     stddev 236.3 / min 160; stop mean 295.3 / 268.8 / 214.  This part is
-//     the registered "table4" scenario (and what bench_matrix runs).
-//  2. google-benchmark microbenchmarks of this implementation's actual
-//     probe hot path on the host machine (engineering sanity numbers) —
-//     standalone-binary only: host timings are not deterministic, so they
-//     never feed the scenario output or the JSON document.
+// The simulated-testbed numbers: KTAU's own overhead tracking (the paper's
+// "internal KTAU timing/overhead query utilities") during an instrumented
+// LU run, in 450 MHz cycles.  Paper: start mean 244.4 / stddev 236.3 /
+// min 160; stop mean 295.3 / 268.8 / 214.  Host microbenchmarks of the
+// same probe hot path live in bench_probe_hotpath.cpp.
 #include <vector>
 
 #include "experiments/harness.hpp"
@@ -67,101 +62,3 @@ void table4_report(Report& rep, const ScenarioParams&,
 
 }  // namespace
 }  // namespace ktau::expt
-
-#ifndef KTAU_BENCH_NO_MAIN
-
-// -- host microbenchmarks of the measurement hot path (standalone only) ------
-#include <benchmark/benchmark.h>
-
-#include <cstdlib>
-#include <iostream>
-
-#include "ktau/system.hpp"
-
-namespace {
-
-using namespace ktau;
-
-void BM_ProbePairEnabled(benchmark::State& state) {
-  meas::KtauConfig cfg;
-  cfg.charge_overhead = true;
-  meas::KtauSystem sys(cfg);
-  const auto ev = sys.map_event("bench_event", meas::Group::Syscall);
-  meas::TaskProfile prof;
-  meas::CpuClock clock;
-  for (auto _ : state) {
-    sys.entry(clock, &prof, ev);
-    sys.exit(clock, &prof, ev);
-    benchmark::DoNotOptimize(clock.cursor);
-  }
-}
-BENCHMARK(BM_ProbePairEnabled);
-
-void BM_ProbePairDisabled(benchmark::State& state) {
-  meas::KtauConfig cfg;
-  cfg.runtime_enabled = meas::kNoGroups;  // the "Ktau Off" fast path
-  meas::KtauSystem sys(cfg);
-  const auto ev = sys.map_event("bench_event", meas::Group::Syscall);
-  meas::TaskProfile prof;
-  meas::CpuClock clock;
-  for (auto _ : state) {
-    sys.entry(clock, &prof, ev);
-    sys.exit(clock, &prof, ev);
-    benchmark::DoNotOptimize(clock.cursor);
-  }
-}
-BENCHMARK(BM_ProbePairDisabled);
-
-void BM_ProbePairNotCompiled(benchmark::State& state) {
-  meas::KtauConfig cfg;
-  cfg.compiled_in = false;  // the "Base" kernel
-  meas::KtauSystem sys(cfg);
-  const auto ev = sys.map_event("bench_event", meas::Group::Syscall);
-  meas::TaskProfile prof;
-  meas::CpuClock clock;
-  for (auto _ : state) {
-    sys.entry(clock, &prof, ev);
-    sys.exit(clock, &prof, ev);
-    benchmark::DoNotOptimize(clock.cursor);
-  }
-}
-BENCHMARK(BM_ProbePairNotCompiled);
-
-void BM_AtomicEvent(benchmark::State& state) {
-  meas::KtauSystem sys(meas::KtauConfig{});
-  const auto ev = sys.map_event("bench_atomic", meas::Group::Net);
-  meas::TaskProfile prof;
-  meas::CpuClock clock;
-  double v = 0;
-  for (auto _ : state) {
-    sys.atomic(clock, &prof, ev, v);
-    v += 1.0;
-  }
-}
-BENCHMARK(BM_AtomicEvent);
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  // Part 1: the registered table4 scenario through the shared runner.  A
-  // bare positional number is the historical scale argument; it is consumed
-  // here so google-benchmark does not see it.
-  ktau::expt::MatrixOptions opt;
-  opt.filter = {"table4"};
-  if (argc > 1) {
-    const double s = std::atof(argv[1]);
-    if (s > 0) {
-      opt.scale = s;
-      for (int i = 1; i + 1 < argc; ++i) argv[i] = argv[i + 1];
-      --argc;
-    }
-  }
-  const int failures = ktau::expt::run_matrix(opt, std::cout, std::cerr);
-
-  // Part 2: host microbenchmarks.
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return failures;
-}
-
-#endif  // KTAU_BENCH_NO_MAIN

@@ -258,5 +258,3 @@ void trace_report(Report& rep, const ScenarioParams&,
 
 }  // namespace
 }  // namespace ktau::expt
-
-KTAU_BENCH_MAIN("trace_scale")

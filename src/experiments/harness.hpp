@@ -4,9 +4,9 @@
 // bench) is a `ScenarioSpec`: a name, a default scale, a function that
 // decomposes the scenario into independent `(config, seed)` trials, and a
 // report function that renders the human-readable output and emits PASS/FAIL
-// gates.  The former 17 `bench_*` binaries are thin registrations against
-// this spine; `bench_matrix` links them all and runs the whole paper matrix
-// in one invocation.
+// gates.  The `bench/bench_*.cpp` sources are registrations against this
+// spine; `bench_matrix` links them all and is the one runner (the whole
+// paper matrix, or `--filter NAME` for one scenario).
 //
 // Determinism under parallelism (DESIGN.md §9):
 //   - trial closures are pure with respect to shared state — each builds its
@@ -183,9 +183,8 @@ struct MatrixOptions {
 };
 
 /// Parses the runner CLI into `opt`.  Returns false and fills `error` on
-/// bad input.  Recognizes a bare positional number as --scale for
-/// compatibility with the historical `bench_foo 0.1` invocation.  --list
-/// and --help are returned via the flags.
+/// bad input (a positional argument is an error: the scale is --scale X).
+/// --list and --help are returned via the flags.
 bool parse_matrix_args(int argc, char** argv, MatrixOptions& opt,
                        bool& want_list, bool& want_help, std::string& error);
 
@@ -199,11 +198,9 @@ int run_matrix(const MatrixOptions& opt, std::ostream& out,
 /// Writes the --list output (canonical order, default scales, titles).
 void list_scenarios(std::ostream& out);
 
-/// The shared runner main: parses argv, applies `default_filter` when the
-/// CLI gives none (the thin per-bench binaries pass their scenario name;
-/// bench_matrix passes ""), runs the matrix, returns the failure count as
-/// exit status (clamped to 125).
-int harness_main(int argc, char** argv, const char* default_filter = "");
+/// The runner main (bench_matrix): parses argv, runs the matrix, returns
+/// the failure count as exit status (clamped to 125; 2 on bad arguments).
+int harness_main(int argc, char** argv);
 
 // ---------------------------------------------------------------------------
 // Shared metric helpers (the former bench_util.hpp, folded into the spine).
@@ -223,14 +220,3 @@ inline sim::Cdf cdf_of(const std::vector<double>& values) {
 }
 
 }  // namespace ktau::expt
-
-// Expands to the shared runner main unless the translation unit is being
-// linked into the all-scenario bench_matrix binary (KTAU_BENCH_NO_MAIN).
-#ifndef KTAU_BENCH_NO_MAIN
-#define KTAU_BENCH_MAIN(default_filter)                       \
-  int main(int argc, char** argv) {                           \
-    return ktau::expt::harness_main(argc, argv, default_filter); \
-  }
-#else
-#define KTAU_BENCH_MAIN(default_filter)
-#endif

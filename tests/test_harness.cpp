@@ -215,10 +215,12 @@ TEST(MatrixCli, RejectsUnknownStackModel) {
   EXPECT_FALSE(parse({"--stack"}, opt, &err));
 }
 
-TEST(MatrixCli, BarePositionalNumberIsScale) {
+TEST(MatrixCli, BarePositionalNumberIsRejected) {
   MatrixOptions opt;
-  ASSERT_TRUE(parse({"0.3"}, opt));
-  EXPECT_DOUBLE_EQ(opt.scale, 0.3);
+  std::string err;
+  EXPECT_FALSE(parse({"0.3"}, opt, &err));
+  EXPECT_NE(err.find("--scale"), std::string::npos) << err;
+  EXPECT_DOUBLE_EQ(opt.scale, 0.0) << "a rejected argument sets nothing";
 }
 
 TEST(MatrixCli, RejectsBadInput) {
