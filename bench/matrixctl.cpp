@@ -93,12 +93,10 @@ int cmd_merge(int argc, char** argv) {
   if (out_path.empty()) {
     ktau::analysis::write_matrix_doc(std::cout, merged);
   } else {
-    std::ofstream f(out_path, std::ios::binary);
-    if (!f) {
+    if (!ktau::analysis::write_matrix_doc_file(out_path, merged)) {
       std::fprintf(stderr, "matrixctl: cannot write %s\n", out_path.c_str());
       return 2;
     }
-    ktau::analysis::write_matrix_doc(f, merged);
     std::fprintf(stderr, "matrixctl: merged %zu shard(s) into %s\n",
                  shards.size(), out_path.c_str());
   }
@@ -151,7 +149,7 @@ int cmd_diff(int argc, char** argv) {
       }
       char* end = nullptr;
       threshold = std::strtod(argv[++i], &end);
-      if (end == argv[i] || *end != '\0' || threshold < 0) {
+      if (end == argv[i] || *end != '\0') {
         std::fprintf(stderr, "matrixctl: bad threshold\n");
         return 2;
       }
@@ -184,7 +182,8 @@ int main(int argc, char** argv) {
     if (cmd == "merge") return cmd_merge(argc - 2, argv + 2);
     if (cmd == "validate") return cmd_validate(argc - 2, argv + 2);
     if (cmd == "diff") return cmd_diff(argc - 2, argv + 2);
-  } catch (const MatrixDocError& e) {
+  } catch (const std::exception& e) {
+    // MatrixDocError, or render_diff's std::invalid_argument threshold.
     std::fprintf(stderr, "matrixctl: %s\n", e.what());
     return 2;
   }

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -78,6 +79,14 @@ std::string matrix_doc_to_string(const MatrixDoc& doc) {
   std::ostringstream os;
   write_matrix_doc(os, doc);
   return os.str();
+}
+
+bool write_matrix_doc_file(const std::string& path, const MatrixDoc& doc) {
+  std::ofstream f(path, std::ios::binary);
+  if (!f) return false;
+  write_matrix_doc(f, doc);
+  f.close();  // flushes; a failed flush sets failbit
+  return !f.fail();
 }
 
 // ---------------------------------------------------------------------------
@@ -844,6 +853,11 @@ void diff_repeat(DiffSink& sink, const std::string& where,
 
 int render_diff(std::ostream& os, const MatrixDoc& base, const MatrixDoc& next,
                 double threshold) {
+  // NaN compares false with every drift and would report nothing.
+  if (!std::isfinite(threshold) || threshold < 0) {
+    throw std::invalid_argument(
+        "diff threshold must be a finite number >= 0");
+  }
   char buf[128];
   std::snprintf(buf, sizeof(buf),
                 "matrix diff, relative threshold %.4g:\n", threshold);

@@ -120,6 +120,11 @@ void write_matrix_doc(std::ostream& os, const MatrixDoc& doc);
 /// Convenience: write_matrix_doc into a string.
 std::string matrix_doc_to_string(const MatrixDoc& doc);
 
+/// write_matrix_doc into the file at `path`, flushed and closed.  Returns
+/// false if the file cannot be opened or any byte fails to reach it (a
+/// full disk, /dev/full), so no caller reports a document it did not store.
+bool write_matrix_doc_file(const std::string& path, const MatrixDoc& doc);
+
 /// Strict reader for the subset write_matrix_doc emits: fixed key order,
 /// `ktau-matrix-v1` schema tag, null → NaN.  Whitespace between tokens is
 /// free-form; everything else must match.  Throws MatrixDocError{Parse}
@@ -193,7 +198,8 @@ int render_validation(std::ostream& os, const MatrixDoc& doc,
 /// / metric present on only one side).  Relative drift is
 /// |next - base| / |base| (a zero or NaN base with a differing next counts
 /// as drift).  NaN == NaN for this purpose.  Returns the number of
-/// reported lines — the tool's exit status.
+/// reported lines — the tool's exit status.  Throws std::invalid_argument
+/// unless `threshold` is finite and >= 0.
 int render_diff(std::ostream& os, const MatrixDoc& base,
                 const MatrixDoc& next, double threshold);
 

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <mutex>
 #include <optional>
@@ -49,7 +49,8 @@ bool matches_filter(const std::string& name,
 bool parse_positive_double(const char* s, double& out) {
   char* end = nullptr;
   const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0' || !(v > 0)) return false;
+  // inf / 1e400 would reach static_cast<int>(n * scale) in scenario sizing.
+  if (end == s || *end != '\0' || !(v > 0) || !std::isfinite(v)) return false;
   out = v;
   return true;
 }
@@ -148,6 +149,18 @@ analysis::MatrixDoc build_matrix_doc(const std::vector<Unit>& units,
   return doc;
 }
 
+/// Writes the --json document; a failed write (including a failed final
+/// flush) is reported on `info` and returned as false.
+bool write_doc(const std::string& path, const analysis::MatrixDoc& doc,
+               std::ostream& info) {
+  if (!analysis::write_matrix_doc_file(path, doc)) {
+    info << "harness: cannot write " << path << "\n";
+    return false;
+  }
+  info << "wrote " << path << "\n";
+  return true;
+}
+
 }  // namespace
 
 std::uint64_t ScenarioParams::seed(std::uint64_t historical) const {
@@ -159,19 +172,24 @@ std::uint64_t ScenarioParams::seed(std::uint64_t historical) const {
 std::ostream& Report::info() { return info_ != nullptr ? *info_ : std::cerr; }
 
 void Report::printf(const char* fmt, ...) {
+  // Format into a stack buffer first; only longer lines take a second,
+  // exactly sized pass.
   va_list args;
   va_start(args, fmt);
   va_list copy;
   va_copy(copy, args);
-  const int len = std::vsnprintf(nullptr, 0, fmt, copy);
-  va_end(copy);
-  if (len >= 0) {
+  char line[512];
+  const int len = std::vsnprintf(line, sizeof(line), fmt, args);
+  va_end(args);
+  if (len >= 0 && static_cast<std::size_t>(len) < sizeof(line)) {
+    out_.write(line, len);
+  } else if (len >= 0) {
     std::string buf(static_cast<std::size_t>(len) + 1, '\0');
-    std::vsnprintf(buf.data(), buf.size(), fmt, args);
+    std::vsnprintf(buf.data(), buf.size(), fmt, copy);
     buf.resize(static_cast<std::size_t>(len));
     out_ << buf;
   }
-  va_end(args);
+  va_end(copy);
 }
 
 bool Report::gate(const std::string& what, bool ok) {
@@ -237,7 +255,7 @@ bool parse_matrix_args(int argc, char** argv, MatrixOptions& opt,
     } else if (arg == "--scale") {
       const char* v = next_value("--scale");
       if (v == nullptr || !parse_positive_double(v, opt.scale)) {
-        if (error.empty()) error = "--scale expects a positive number";
+        if (error.empty()) error = "--scale expects a finite positive number";
         return false;
       }
     } else if (arg == "--trials") {
@@ -357,15 +375,11 @@ int run_matrix(const MatrixOptions& opt, std::ostream& out,
       // every shard of a partition to present its stamp.
       info << "harness: shard " << opt.shard_index << "/" << opt.shard_count
            << " selects none of the " << matched << " unit(s)\n";
-      if (!opt.json_path.empty()) {
-        std::ofstream f(opt.json_path);
-        if (!f) {
-          info << "harness: cannot write " << opt.json_path << "\n";
-          return 1;
-        }
-        analysis::write_matrix_doc(
-            f, build_matrix_doc({}, opt.trials, 0, opt, matched));
-        info << "wrote " << opt.json_path << "\n";
+      if (!opt.json_path.empty() &&
+          !write_doc(opt.json_path,
+                     build_matrix_doc({}, opt.trials, 0, opt, matched),
+                     info)) {
+        return 1;
       }
       return 0;
     }
@@ -452,16 +466,11 @@ int run_matrix(const MatrixOptions& opt, std::ostream& out,
   analysis::render_gate_summary(out, gate_lines);
 
   // ---- machine-readable document ------------------------------------------
-  if (!opt.json_path.empty()) {
-    std::ofstream f(opt.json_path);
-    if (!f) {
-      info << "harness: cannot write " << opt.json_path << "\n";
-      ++failures;
-    } else {
-      analysis::write_matrix_doc(
-          f, build_matrix_doc(units, opt.trials, failures, opt, matched));
-      info << "wrote " << opt.json_path << "\n";
-    }
+  if (!opt.json_path.empty() &&
+      !write_doc(opt.json_path,
+                 build_matrix_doc(units, opt.trials, failures, opt, matched),
+                 info)) {
+    ++failures;
   }
   return failures;
 }

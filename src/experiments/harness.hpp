@@ -183,15 +183,16 @@ struct MatrixOptions {
 };
 
 /// Parses the runner CLI into `opt`.  Returns false and fills `error` on
-/// bad input (a positional argument is an error: the scale is --scale X).
-/// --list and --help are returned via the flags.
+/// bad input: a positional argument (the scale is --scale X) or a
+/// non-finite number.  --list and --help are returned via the flags.
 bool parse_matrix_args(int argc, char** argv, MatrixOptions& opt,
                        bool& want_list, bool& want_help, std::string& error);
 
 /// Executes the selected scenarios: trials on a worker pool of `jobs`
 /// threads, reports sequentially in canonical order to `out`, progress and
 /// host timings to `info`.  Returns the total number of failed gates
-/// (also counting trials that threw).
+/// (also counting trials that threw, and a --json document that could not
+/// be written).
 int run_matrix(const MatrixOptions& opt, std::ostream& out,
                std::ostream& info);
 

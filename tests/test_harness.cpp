@@ -10,7 +10,8 @@
 //   - the byte-identity contract: run_matrix output (stdout and JSON) is
 //     identical for --jobs 1 and --jobs 4, including salted repeats;
 //   - trial exceptions turn into a failed "all trials completed" gate and
-//     an "error" entry in the JSON document;
+//     an "error" entry in the JSON document; a JSON document that cannot
+//     be written counts as a failure;
 //   - cross-trial isolation: two full sim instances running concurrently
 //     produce bit-identical results to sequential execution;
 //   - TraceBuffer wraparound / drop-accounting edges (the lossy ring the
@@ -227,6 +228,11 @@ TEST(MatrixCli, RejectsBadInput) {
   MatrixOptions opt;
   std::string err;
   EXPECT_FALSE(parse({"--scale", "-1"}, opt, &err));
+  // Non-finite scales would reach static_cast<int>(n * scale).
+  for (const char* bad : {"inf", "1e400", "nan"}) {
+    EXPECT_FALSE(parse({"--scale", bad}, opt, &err)) << bad;
+    EXPECT_NE(err.find("--scale"), std::string::npos) << bad;
+  }
   EXPECT_FALSE(parse({"--trials", "0"}, opt, &err));
   EXPECT_FALSE(parse({"--jobs"}, opt, &err));
   EXPECT_FALSE(parse({"--bogus"}, opt, &err));
@@ -260,6 +266,15 @@ TEST(MatrixCli, RejectsBadShard) {
 // ---------------------------------------------------------------------------
 // JSON primitives
 // ---------------------------------------------------------------------------
+
+TEST(ReportPrintf, LinesLongerThanTheStackBufferAreWhole) {
+  std::ostringstream os;
+  Report rep(os);
+  const std::string wide(2000, 'x');
+  rep.printf("short %d\n", 7);
+  rep.printf("[%s]\n", wide.c_str());
+  EXPECT_EQ(os.str(), "short 7\n[" + wide + "]\n");
+}
 
 TEST(JsonPrimitives, Escaping) {
   using analysis::json_escape;
@@ -384,6 +399,18 @@ TEST(RunMatrix, TrialExceptionBecomesFailedGateAndJsonError) {
   // The report callback must not run on partial results.
   EXPECT_EQ(r.out.find("report should never run"), std::string::npos);
   EXPECT_NE(r.json.find("\"error\": \"boom\""), std::string::npos);
+}
+
+TEST(RunMatrix, UnwritableJsonIsAFailure) {
+  ASSERT_TRUE(register_fixture_scenarios());
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  MatrixOptions opt;
+  opt.filter = {"zz_spine_c"};
+  opt.json_path = "/dev/full";  // opens fine, every write fails (ENOSPC)
+  std::ostringstream out, info;
+  EXPECT_GE(run_matrix(opt, out, info), 1);
+  EXPECT_NE(info.str().find("cannot write /dev/full"), std::string::npos);
+  EXPECT_EQ(info.str().find("wrote /dev/full"), std::string::npos);
 }
 
 TEST(RunMatrix, EmptySelectionIsAnError) {

@@ -120,6 +120,28 @@ TEST(MatrixDocRoundTrip, ShortestRoundTripDoubleFormatting) {
   EXPECT_EQ(std::strtod(fmt(5e-324).c_str(), nullptr), 5e-324);
 }
 
+TEST(MatrixDocRoundTrip, FileWriterReportsWriteFailures) {
+  const MatrixDoc doc = sample_doc();
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("ktau_matrixdoc_file_" + std::to_string(::getpid()) +
+                     ".json");
+  ASSERT_TRUE(write_matrix_doc_file(path.string(), doc));
+  std::ifstream f(path, std::ios::binary);
+  std::stringstream ss;
+  ss << f.rdbuf();
+  std::filesystem::remove(path);
+  EXPECT_EQ(ss.str(), matrix_doc_to_string(doc));
+
+  EXPECT_FALSE(write_matrix_doc_file(
+      (std::filesystem::temp_directory_path() / "no_such_dir" / "x.json")
+          .string(),
+      doc));
+  if (std::filesystem::exists("/dev/full")) {
+    // Opens fine; the flush fails with ENOSPC (`matrixctl merge -o`).
+    EXPECT_FALSE(write_matrix_doc_file("/dev/full", doc));
+  }
+}
+
 TEST(MatrixDocRoundTrip, ShardStampRoundTrips) {
   MatrixDoc doc = sample_doc();
   doc.shard = ShardStamp{2, 4, 17};
@@ -434,6 +456,21 @@ TEST(MatrixDocDiff, ThresholdIsStrictlyAbove) {
   EXPECT_EQ(diff_count(base, stats_doc({100.0}), 0.0), 0)
       << "identical values never drift, even at threshold 0";
   EXPECT_EQ(diff_count(base, stats_doc({100.0001}), 0.0), 1);
+}
+
+TEST(MatrixDocDiff, RejectsNonFiniteOrNegativeThreshold) {
+  // A NaN threshold compares false with every drift: a +50 % change would
+  // otherwise report "0 drift line(s)".
+  const MatrixDoc base = stats_doc({100.0});
+  const MatrixDoc next = stats_doc({150.0});
+  for (const double bad : {kNaN, std::numeric_limits<double>::infinity(),
+                           -0.01}) {
+    std::ostringstream os;
+    EXPECT_THROW(render_diff(os, base, next, bad), std::invalid_argument)
+        << bad;
+    EXPECT_TRUE(os.str().empty()) << "nothing rendered before the check";
+  }
+  EXPECT_EQ(diff_count(base, next, 0.05), 1);
 }
 
 TEST(MatrixDocDiff, ZeroAndNaNBases) {
