@@ -173,7 +173,8 @@ std::ostream& Report::info() { return info_ != nullptr ? *info_ : std::cerr; }
 
 void Report::printf(const char* fmt, ...) {
   // Format into a stack buffer first; only longer lines take a second,
-  // exactly sized pass.
+  // exactly sized pass.  (A size-0 vsnprintf probe trips GCC 12's
+  // format-truncation warning at -O3.)
   va_list args;
   va_start(args, fmt);
   va_list copy;
