@@ -21,10 +21,9 @@ std::vector<TrialSpec> fig4_trials(const ScenarioParams& p) {
   cfg.workload = Workload::LU;
   cfg.scale = p.scale;
   cfg.seed = p.seed(cfg.seed);
-  return {{"anomaly_lu", [cfg] {
-             auto run = run_chiba(cfg);
-             return trial_result(std::move(run),
-                                 {{"exec_sec", run.exec_sec}});
+  return {{"anomaly_lu", [p, cfg] {
+             const auto run = p.chiba_run(cfg);
+             return trial_result(run, {{"exec_sec", run->exec_sec}});
            }}};
 }
 

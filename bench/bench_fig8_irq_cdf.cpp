@@ -31,10 +31,9 @@ std::vector<TrialSpec> fig8_trials(const ScenarioParams& p) {
     cfg.workload = Workload::LU;
     cfg.scale = p.scale;
     cfg.seed = p.seed(cfg.seed);
-    trials.push_back({name, [cfg] {
-                        auto run = run_chiba(cfg);
-                        return trial_result(std::move(run),
-                                            {{"exec_sec", run.exec_sec}});
+    trials.push_back({name, [p, cfg] {
+                        const auto run = p.chiba_run(cfg);
+                        return trial_result(run, {{"exec_sec", run->exec_sec}});
                       }});
   }
   return trials;

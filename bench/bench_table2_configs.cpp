@@ -44,12 +44,12 @@ std::vector<TrialSpec> table2_trials(const ScenarioParams& p) {
       cfg.seed = p.seed(cfg.seed);
       trials.push_back(
           {std::string(w == 0 ? "LU/" : "Sweep3D/") + config_name(kConfigs[c]),
-           [cfg] {
-             const auto run = run_chiba(cfg);
+           [p, cfg] {
+             const auto run = p.chiba_run(cfg);
              return trial_result(
-                 run.exec_sec,
-                 {{"exec_sec", run.exec_sec},
-                  {"engine_events", static_cast<double>(run.engine_events)}});
+                 run->exec_sec,
+                 {{"exec_sec", run->exec_sec},
+                  {"engine_events", static_cast<double>(run->engine_events)}});
            }});
     }
   }

@@ -41,6 +41,8 @@ struct LuParams {
 
   std::uint64_t seed = 0x1234;
   tau::TauConfig tau;
+
+  bool operator==(const LuParams&) const = default;
 };
 
 class LuApp {

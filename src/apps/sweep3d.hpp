@@ -34,6 +34,8 @@ struct SweepParams {
   double jitter = 0.02;
   std::uint64_t seed = 0x5EE9;
   tau::TauConfig tau;
+
+  bool operator==(const SweepParams&) const = default;
 };
 
 class SweepApp {

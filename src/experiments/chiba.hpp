@@ -112,6 +112,10 @@ struct ChibaRunConfig {
   /// extra events, RNG draws, or cycles anywhere).  Network faults apply
   /// cluster-wide; storms, steals, and the slowdown hit `faults.victims`.
   sim::FaultConfig faults;
+
+  /// Field-by-field equality, down through the structs held here: the run
+  /// store's key (DESIGN.md §9), so no field can be left out of it.
+  bool operator==(const ChibaRunConfig&) const = default;
 };
 
 /// Per-rank merged statistics extracted after a run.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -169,6 +171,45 @@ std::uint64_t ScenarioParams::seed(std::uint64_t historical) const {
   return sim::splitmix64(s);
 }
 
+std::shared_ptr<const ChibaRunResult> ScenarioParams::chiba_run(
+    const ChibaRunConfig& cfg) const {
+  if (chiba_runs != nullptr) return chiba_runs->run(cfg);
+  return std::make_shared<const ChibaRunResult>(run_chiba(cfg));
+}
+
+std::shared_ptr<const ChibaRunResult> ChibaRunStore::run(
+    const ChibaRunConfig& cfg) {
+  ChibaRunConfig key = cfg;
+  key.stack = cfg.stack.value_or(default_stack_model());
+  key.sim_threads = 0;
+  std::optional<std::promise<std::shared_ptr<const ChibaRunResult>>> owner;
+  Shared shared;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = std::find_if(runs_.begin(), runs_.end(),
+                                 [&](const auto& e) { return e.first == key; });
+    if (it != runs_.end()) {
+      shared = it->second;
+    } else {
+      shared = owner.emplace().get_future().share();
+      runs_.emplace_back(std::move(key), shared);
+    }
+  }
+  if (owner) {
+    try {
+      owner->set_value(std::make_shared<const ChibaRunResult>(run_chiba(cfg)));
+    } catch (...) {
+      owner->set_exception(std::current_exception());
+    }
+  }
+  return shared.get();
+}
+
+std::size_t ChibaRunStore::simulations() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return runs_.size();
+}
+
 std::ostream& Report::info() { return info_ != nullptr ? *info_ : std::cerr; }
 
 void Report::printf(const char* fmt, ...) {
@@ -299,12 +340,16 @@ bool parse_matrix_args(int argc, char** argv, MatrixOptions& opt,
     } else if (arg == "--seed") {
       const char* v = next_value("--seed");
       if (v == nullptr) return false;
+      // strtoull would accept "-1" (negated) and saturate on overflow.
       char* end = nullptr;
-      opt.seed = std::strtoull(v, &end, 0);
-      if (end == v || *end != '\0') {
-        error = "--seed expects an unsigned integer";
+      errno = 0;
+      const unsigned long long seed = std::strtoull(v, &end, 0);
+      if (!std::isdigit(static_cast<unsigned char>(v[0])) || *end != '\0' ||
+          errno == ERANGE) {
+        error = "--seed expects an unsigned 64-bit integer";
         return false;
       }
+      opt.seed = seed;
       opt.seed_set = true;
     } else if (arg == "--json") {
       const char* v = next_value("--json");
@@ -313,7 +358,13 @@ bool parse_matrix_args(int argc, char** argv, MatrixOptions& opt,
     } else if (arg == "--filter") {
       const char* v = next_value("--filter");
       if (v == nullptr) return false;
+      // An empty list would silently select every scenario.
+      const std::size_t before = opt.filter.size();
       split_csv(v, opt.filter);
+      if (opt.filter.size() == before) {
+        error = "--filter expects a comma-separated list of scenario names";
+        return false;
+      }
     } else {
       error = "unknown argument '" + arg +
               "'; every option is a flag, e.g. --scale 0.1";
@@ -340,6 +391,8 @@ int run_matrix(const MatrixOptions& opt, std::ostream& out,
   // them.  Set once, up front, from the single-threaded caller.
   set_default_sim_threads(opt.sim_threads);
   set_default_stack_model(opt.stack);
+  // Declared before the units so it outlives every trial closure.
+  ChibaRunStore chiba_runs;
 
   // ---- select + decompose -------------------------------------------------
   std::vector<Unit> units;
@@ -362,6 +415,7 @@ int run_matrix(const MatrixOptions& opt, std::ostream& out,
       u.params.salt = salt_for(opt.seed_set, opt.seed, repeat);
       u.params.sim_threads = opt.sim_threads;
       u.params.stack = opt.stack;
+      u.params.chiba_runs = &chiba_runs;
       u.trials = spec->trials(u.params);
       u.results.resize(u.trials.size());
       u.errors.resize(u.trials.size());

@@ -17,14 +17,21 @@
 //   - nothing host-dependent (wall clock, thread ids, job count) is allowed
 //     into stdout or the JSON document; host timings go to stderr.
 // Hence `--jobs 8` output is byte-identical to `--jobs 1`.
+//
+// Trials that need the same Chiba simulation share it: each run_matrix call
+// owns a ChibaRunStore that simulates every distinct configuration once
+// (ScenarioParams::chiba_run); the trials still build their own metrics
+// and payloads from the shared, immutable result.
 #pragma once
 
 #include <any>
 #include <cstdarg>
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <iosfwd>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -39,6 +46,29 @@ namespace ktau::expt {
 /// used when neither `--scale` nor a scenario override is given.  This is
 /// the constant CLAUDE.md / EXPERIMENTS.md quote; keep them in sync.
 inline constexpr double kDefaultScale = 0.1;
+
+/// The Chiba simulations of one run_matrix call, each distinct
+/// configuration simulated once (DESIGN.md §9).  The key is the whole
+/// ChibaRunConfig compared with `==`, with the stack model resolved through
+/// default_stack_model() and sim_threads ignored (it never changes output).
+/// The first trial to ask runs the simulation on its own worker; one that
+/// asks while it runs waits for it.  A run that throws rethrows the same
+/// exception into every trial sharing it.  Thread-safe.
+class ChibaRunStore {
+ public:
+  ChibaRunStore() = default;
+  ChibaRunStore(const ChibaRunStore&) = delete;  // trials hold its address
+  ChibaRunStore& operator=(const ChibaRunStore&) = delete;
+
+  std::shared_ptr<const ChibaRunResult> run(const ChibaRunConfig& cfg);
+  /// Distinct simulations started so far.
+  std::size_t simulations() const;
+
+ private:
+  using Shared = std::shared_future<std::shared_ptr<const ChibaRunResult>>;
+  mutable std::mutex mutex_;
+  std::vector<std::pair<ChibaRunConfig, Shared>> runs_;  // few; linear scan
+};
 
 /// Parameters of one scenario repetition.
 struct ScenarioParams {
@@ -59,11 +89,19 @@ struct ScenarioParams {
   /// themselves (congestion) ignore it and set ChibaRunConfig::stack
   /// explicitly per trial.
   knet::StackKind stack = knet::StackKind::Fixed;
+  /// The calling run_matrix's store; null (tests, direct callers) makes
+  /// chiba_run simulate every request.  Trials may capture it: it lives
+  /// until run_matrix returns.
+  ChibaRunStore* chiba_runs = nullptr;
 
   /// Derives the seed a trial should use from the seed it historically
   /// used.  Pure function of (salt, historical) — documented in DESIGN.md
   /// §9 and pinned by tests.
   std::uint64_t seed(std::uint64_t historical) const;
+
+  /// The result of run_chiba(cfg), shared through `chiba_runs` when set.
+  std::shared_ptr<const ChibaRunResult> chiba_run(
+      const ChibaRunConfig& cfg) const;
 };
 
 /// What one trial hands back: named metrics for the JSON document (in
@@ -73,15 +111,25 @@ struct TrialResult {
   std::any payload;
 };
 
+/// Wraps a payload already in immutable shared storage (e.g. a stored
+/// Chiba run) together with metrics.
+template <typename T>
+TrialResult trial_result(std::shared_ptr<const T> payload,
+                         std::vector<std::pair<std::string, double>> metrics =
+                             {}) {
+  TrialResult r;
+  r.metrics = std::move(metrics);
+  r.payload = std::move(payload);
+  return r;
+}
+
 /// Wraps a payload (moved into shared storage) together with metrics.
 template <typename T>
 TrialResult trial_result(T payload,
                          std::vector<std::pair<std::string, double>> metrics =
                              {}) {
-  TrialResult r;
-  r.metrics = std::move(metrics);
-  r.payload = std::make_shared<const T>(std::move(payload));
-  return r;
+  return trial_result(std::make_shared<const T>(std::move(payload)),
+                      std::move(metrics));
 }
 
 /// Recovers a payload stored by trial_result<T>.
@@ -92,7 +140,8 @@ const T& payload(const TrialResult& r) {
 
 /// One independent unit of work.  `run` must be thread-safe by isolation:
 /// it may not touch any mutable state shared with other trials (whole sim
-/// instances are built inside the closure), and it may not print.
+/// instances are built inside the closure; a shared Chiba run comes from
+/// ScenarioParams::chiba_run), and it may not print.
 struct TrialSpec {
   std::string name;  // canonical label, unique within the scenario
   std::function<TrialResult()> run;

@@ -108,6 +108,8 @@ struct FaultConfig {
   bool is_victim(std::uint32_t node) const {
     return std::find(victims.begin(), victims.end(), node) != victims.end();
   }
+
+  bool operator==(const FaultConfig&) const = default;
 };
 
 /// A materialized fault plan: the config plus its per-(node, purpose)

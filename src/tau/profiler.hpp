@@ -47,6 +47,8 @@ struct TauConfig {
   std::uint32_t inner_pairs = 0;
   /// Record an event log (user-side trace) for merged timelines (Fig 2-E).
   bool tracing = false;
+
+  bool operator==(const TauConfig&) const = default;
 };
 
 /// Per-function profile row.

@@ -236,7 +236,6 @@ TEST(TauExport, MergedProfileSubtractsKernelTime) {
     has_kernel_rows |= row.group.rfind("KTAU_", 0) == 0;
   }
   ASSERT_GE(work_excl, 0.0);
-  has_kernel_rows = has_kernel_rows;
   EXPECT_TRUE(has_kernel_rows);
   // "work" raw exclusive is ~60 ms, of which ~20 ms is kernel (sleep
   // syscalls + waits): true exclusive ~40 ms.

@@ -14,6 +14,9 @@
 //     be written counts as a failure;
 //   - cross-trial isolation: two full sim instances running concurrently
 //     produce bit-identical results to sequential execution;
+//   - the per-call Chiba run store: equal resolved configs simulate once,
+//     any other field difference does not share, and a throwing shared run
+//     fails every trial that shares it;
 //   - TraceBuffer wraparound / drop-accounting edges (the lossy ring the
 //     tracing ablation leans on).
 #include <gtest/gtest.h>
@@ -22,6 +25,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -83,7 +87,7 @@ ScenarioSpec make_counting_scenario(const std::string& name, int order,
   s.trials = [n_trials](const ScenarioParams& p) {
     std::vector<TrialSpec> trials;
     for (int i = 0; i < n_trials; ++i) {
-      trials.push_back({"t" + std::to_string(i),
+      trials.push_back({std::string("t").append(std::to_string(i)),
                         [seed = p.seed(static_cast<std::uint64_t>(i)),
                          scale = p.scale] {
                           // Cheap deterministic work: a seeded RNG walk.
@@ -238,6 +242,22 @@ TEST(MatrixCli, RejectsBadInput) {
   EXPECT_FALSE(parse({"--bogus"}, opt, &err));
   EXPECT_FALSE(parse({"notanumber"}, opt, &err));
   EXPECT_FALSE(err.empty());
+  // strtoull alone would negate "-1" and saturate on overflow.
+  for (const char* bad : {"-1", "99999999999999999999", "0x1ffffffffffffffff",
+                          "+5", " 5", "", "7x"}) {
+    EXPECT_FALSE(parse({"--seed", bad}, opt, &err)) << bad;
+    EXPECT_NE(err.find("--seed"), std::string::npos) << bad;
+  }
+  EXPECT_FALSE(opt.seed_set) << "a rejected seed sets nothing";
+  // An empty list would silently select every scenario.
+  for (const char* bad : {",", "", ",,"}) {
+    EXPECT_FALSE(parse({"--filter", bad}, opt, &err)) << bad;
+    EXPECT_NE(err.find("--filter"), std::string::npos) << bad;
+  }
+  EXPECT_TRUE(opt.filter.empty());
+  // The largest seed is not an overflow.
+  ASSERT_TRUE(parse({"--seed", "18446744073709551615"}, opt));
+  EXPECT_EQ(opt.seed, 18446744073709551615ull);
 }
 
 TEST(MatrixCli, ParsesShard) {
@@ -539,6 +559,215 @@ TEST(CrossTrialIsolation, ConcurrentRunsMatchSequentialBitForBit) {
   expect_bit_identical(seq6, par6);
   // And the two seeds genuinely differ (the comparison is not vacuous).
   EXPECT_NE(seq5.engine_events, seq6.engine_events);
+}
+
+// ---------------------------------------------------------------------------
+// ChibaRunStore: one simulation per distinct resolved config and call
+// ---------------------------------------------------------------------------
+
+using SharedRun = std::shared_ptr<const ChibaRunResult>;
+
+/// mini() cut to LU's minimum of three iterations.
+ChibaRunConfig short_mini(std::uint64_t seed) {
+  ChibaRunConfig cfg = mini(seed);
+  cfg.scale = 0.01;
+  return cfg;
+}
+
+/// Payloads the store scenarios' reports saw, in report (canonical) order.
+std::vector<SharedRun>& reported_runs() {
+  static std::vector<SharedRun> runs;
+  return runs;
+}
+
+ScenarioSpec make_store_scenario(const std::string& name, int order,
+                                 std::vector<ChibaRunConfig> cfgs) {
+  ScenarioSpec s;
+  s.name = name;
+  s.title = "store scenario " + name;
+  s.order = order;
+  s.trials = [cfgs](const ScenarioParams& p) {
+    std::vector<TrialSpec> trials;
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+      trials.push_back({std::string("run").append(std::to_string(i)),
+                        [p, cfg = cfgs[i]] {
+                          const auto run = p.chiba_run(cfg);
+                          return trial_result(run,
+                                              {{"exec_sec", run->exec_sec}});
+                        }});
+    }
+    return trials;
+  };
+  s.report = [](Report& rep, const ScenarioParams&,
+                const std::vector<TrialResult>& results) {
+    for (const auto& r : results) {
+      reported_runs().push_back(
+          std::any_cast<const SharedRun&>(r.payload));
+      rep.printf("exec %.9f\n", payload<ChibaRunResult>(r).exec_sec);
+    }
+    rep.gate("store scenario reported", true);
+  };
+  return s;
+}
+
+/// A config whose run throws at build time (no nodes for its ranks).
+ChibaRunConfig unbuildable() {
+  ChibaRunConfig cfg = short_mini(5);
+  cfg.ranks = 1;
+  return cfg;
+}
+
+bool register_store_scenarios() {
+  // Not "zz_": ScenarioRegistry.OrderThenNameAndLookup lists those exactly.
+  static const bool once = [] {
+    ChibaRunConfig explicit_fixed = short_mini(5);
+    explicit_fixed.stack = knet::StackKind::Fixed;
+    explicit_fixed.sim_threads = 2;
+    register_scenario(make_store_scenario("xx_store_a", 9200, {short_mini(5)}));
+    register_scenario(
+        make_store_scenario("xx_store_b", 9201, {explicit_fixed}));
+    register_scenario(make_store_scenario("xx_store_throw", 9202,
+                                          {unbuildable(), unbuildable()}));
+    return true;
+  }();
+  return once;
+}
+
+TEST(ChibaRunStore, EqualConfigsAcrossScenariosSimulateOnce) {
+  ASSERT_TRUE(register_store_scenarios());
+  const auto direct = run_chiba(short_mini(5));
+  std::string first_out, first_json;
+  for (const int jobs : {1, 4}) {
+    reported_runs().clear();
+    const auto r = run_filtered({"xx_store_a", "xx_store_b"}, jobs, 1);
+    EXPECT_EQ(r.failures, 0) << r.out;
+    // xx_store_b asks with sim_threads 2 and an explicit Fixed stack: the
+    // same resolved config, so the same simulation object.
+    ASSERT_EQ(reported_runs().size(), 2u);
+    EXPECT_EQ(reported_runs()[0], reported_runs()[1]) << "jobs " << jobs;
+    expect_bit_identical(*reported_runs()[0], direct);
+    if (jobs == 1) {
+      first_out = r.out;
+      first_json = r.json;
+    } else {
+      EXPECT_EQ(r.out, first_out);
+      EXPECT_EQ(r.json, first_json);
+    }
+  }
+}
+
+TEST(ChibaRunStore, NullStoreSimulatesEveryRequest) {
+  const ScenarioParams p;  // what tests and direct callers get
+  const auto a = p.chiba_run(short_mini(5));
+  const auto b = p.chiba_run(short_mini(5));
+  EXPECT_NE(a, b);
+  expect_bit_identical(*a, *b);
+}
+
+TEST(ChibaRunStore, SimThreadsAndTheDefaultStackShareARun) {
+  set_default_stack_model(knet::StackKind::Fixed);
+  ChibaRunStore store;
+  const auto base = store.run(short_mini(6));
+  ChibaRunConfig threads = short_mini(6);
+  threads.sim_threads = 4;
+  ChibaRunConfig fixed = short_mini(6);
+  fixed.stack = knet::StackKind::Fixed;
+  EXPECT_EQ(store.run(threads), base);
+  EXPECT_EQ(store.run(fixed), base);
+  EXPECT_EQ(store.simulations(), 1u);
+  expect_bit_identical(*base, run_chiba(short_mini(6)));
+
+  // Under another process default, an unset stack no longer means Fixed.
+  set_default_stack_model(knet::StackKind::Reno);
+  ChibaRunStore other;
+  const auto reno = other.run(short_mini(6));
+  EXPECT_NE(other.run(fixed), reno);
+  EXPECT_EQ(other.simulations(), 2u);
+  set_default_stack_model(knet::StackKind::Fixed);
+}
+
+TEST(ChibaRunStore, DifferingConfigsDoNotShare) {
+  // Two real runs for fields nested two structs deep...
+  ChibaRunStore store;
+  ChibaRunConfig lu = short_mini(5);
+  lu.lu_override = chiba_lu_params(lu);
+  ChibaRunConfig lu_halo = lu;
+  lu_halo.lu_override->halo_bytes += 1024;
+  ChibaRunConfig faults = short_mini(5);
+  faults.faults.rto += sim::kMillisecond;  // inert, yet a different config
+  const auto a = store.run(lu);
+  const auto b = store.run(lu_halo);
+  const auto c = store.run(faults);
+  EXPECT_NE(a, b);
+  EXPECT_NE(a, c);
+  EXPECT_EQ(store.simulations(), 3u);
+  EXPECT_NE(a->exec_sec, b->exec_sec) << "halo size changes the run";
+  expect_bit_identical(*c, run_chiba(short_mini(5)));
+
+  // ...and every other field, cheaply: each variant of a config that throws
+  // at build time is a new store entry (a new, failing run).
+  const std::vector<std::function<void(ChibaRunConfig&)>> one_field = {
+      [](auto& c) { c.config = ChibaConfig::C64x2Pinned; },
+      [](auto& c) { c.workload = Workload::Sweep3D; },
+      [](auto& c) { c.perturb = PerturbMode::Base; },
+      [](auto& c) { c.ranks = 0; },
+      [](auto& c) { c.seed += 1; },
+      [](auto& c) { c.daemons = false; },
+      [](auto& c) { c.stack = knet::StackKind::Rack; },
+      [](auto& c) { c.scale *= 2; },
+      [](auto& c) { c.timer_probe_density = 3; },
+      [](auto& c) { c.tau_inner_pairs = 3; },
+      [](auto& c) { c.smp_dilation_override = 0.0; },
+      [](auto& c) { c.tcp_cache_penalty_override = 0; },
+      [](auto& c) { c.lu_override = apps::LuParams{}; },
+      [](auto& c) {
+        c.lu_override = apps::LuParams{};
+        c.lu_override->tau.inner_pairs = 1;
+      },
+      [](auto& c) { c.sweep_override = apps::SweepParams{}; },
+      [](auto& c) {
+        c.sweep_override = apps::SweepParams{};
+        c.sweep_override->jitter = 0;
+      },
+      [](auto& c) { c.tracing = true; },
+      [](auto& c) { c.faults.victims = {0}; },
+      [](auto& c) { c.faults.seed += 1; },
+  };
+  ChibaRunStore failing;
+  EXPECT_THROW(failing.run(unbuildable()), std::invalid_argument);
+  std::size_t expected = 1;
+  for (std::size_t i = 0; i < one_field.size(); ++i) {
+    ChibaRunConfig cfg = unbuildable();
+    one_field[i](cfg);
+    EXPECT_THROW(failing.run(cfg), std::invalid_argument) << "variant " << i;
+    EXPECT_EQ(failing.simulations(), ++expected) << "variant " << i;
+  }
+  // Asking again for a failed config shares the failure, not a new run.
+  EXPECT_THROW(failing.run(unbuildable()), std::invalid_argument);
+  EXPECT_EQ(failing.simulations(), expected);
+}
+
+TEST(ChibaRunStore, ThrowingSharedRunFailsEveryTrialSharingIt) {
+  ASSERT_TRUE(register_store_scenarios());
+  std::string what;
+  try {
+    run_chiba(unbuildable());
+  } catch (const std::exception& e) {
+    what = e.what();
+  }
+  ASSERT_FALSE(what.empty());
+  for (const int jobs : {1, 2}) {
+    const auto r = run_filtered({"xx_store_throw"}, jobs, 1);
+    EXPECT_GE(r.failures, 1);
+    EXPECT_NE(r.out.find("trial run0 failed: " + what), std::string::npos);
+    EXPECT_NE(r.out.find("trial run1 failed: " + what), std::string::npos);
+    EXPECT_NE(r.out.find("all trials completed: FAIL"), std::string::npos);
+    const std::string error = "\"error\": \"" + what + "\"";
+    const auto first = r.json.find(error);
+    ASSERT_NE(first, std::string::npos) << r.json;
+    EXPECT_NE(r.json.find(error, first + 1), std::string::npos)
+        << "both trials carry the run's error";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -151,7 +151,7 @@ TEST(KernelSched, UnpinnedTasksSpreadAcrossIdleCpus) {
   Machine& m = cluster.add_machine(quiet_config(4));
   std::vector<Task*> tasks;
   for (int i = 0; i < 4; ++i) {
-    Task& t = m.spawn("t" + std::to_string(i));
+    Task& t = m.spawn(std::string("t").append(std::to_string(i)));
     t.program = compute_once(500 * kMillisecond);
     tasks.push_back(&t);
     m.launch(t);
@@ -358,7 +358,7 @@ TEST(KernelSched, ActivationStackBalancedAfterRun) {
   Cluster cluster;
   Machine& m = cluster.add_machine(quiet_config(2));
   for (int i = 0; i < 6; ++i) {
-    Task& t = m.spawn("t" + std::to_string(i));
+    Task& t = m.spawn(std::string("t").append(std::to_string(i)));
     t.program = [](void) -> Program {
       for (int k = 0; k < 10; ++k) {
         co_await Compute{7 * kMillisecond};
@@ -379,7 +379,7 @@ TEST(KernelSched, InclusiveAtLeastExclusiveEverywhere) {
   Cluster cluster;
   Machine& m = cluster.add_machine(quiet_config(2));
   for (int i = 0; i < 4; ++i) {
-    Task& t = m.spawn("t" + std::to_string(i));
+    Task& t = m.spawn(std::string("t").append(std::to_string(i)));
     t.program = [](void) -> Program {
       for (int k = 0; k < 20; ++k) {
         co_await Compute{11 * kMillisecond};

@@ -217,7 +217,7 @@ expt::ScenarioSpec fixture_scenario(const std::string& name, int order,
     std::vector<expt::TrialSpec> trials;
     for (int i = 0; i < n_trials; ++i) {
       trials.push_back(
-          {"t" + std::to_string(i),
+          {std::string("t").append(std::to_string(i)),
            [seed = p.seed(static_cast<std::uint64_t>(i) + 3)] {
              sim::Rng rng(seed + 1);
              const double v =

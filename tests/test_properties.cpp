@@ -59,7 +59,7 @@ TEST_P(SchedulerProps, InvariantsHoldForAnyMix) {
   Machine& m = cluster.add_machine(cfg);
   std::vector<Task*> tasks;
   for (int i = 0; i < ntasks; ++i) {
-    Task& t = m.spawn("t" + std::to_string(i));
+    Task& t = m.spawn(std::string("t").append(std::to_string(i)));
     t.program = mixed_workload(seed * 97 + i, 30);
     tasks.push_back(&t);
     m.launch(t);
@@ -119,7 +119,7 @@ TEST_P(ComputeConservation, WallTimeAtLeastDemandPerCpu) {
   Machine& m = cluster.add_machine(cfg);
   const sim::TimeNs per_task = 200 * kMillisecond;
   for (int i = 0; i < ntasks; ++i) {
-    Task& t = m.spawn("t" + std::to_string(i));
+    Task& t = m.spawn(std::string("t").append(std::to_string(i)));
     t.program = [](sim::TimeNs d) -> Program { co_await kernel::Compute{d}; }(
         per_task);
     m.launch(t);

@@ -107,8 +107,12 @@ TEST(TraceExport, MultipleStreamsKeepIds) {
   for (const auto& e : file.events) {
     saw0 |= e.stream == 0;
     saw1 |= e.stream == 1;
-    if (e.stream == 0) EXPECT_TRUE(e.is_kernel);
-    if (e.stream == 1) EXPECT_FALSE(e.is_kernel);
+    if (e.stream == 0) {
+      EXPECT_TRUE(e.is_kernel);
+    }
+    if (e.stream == 1) {
+      EXPECT_FALSE(e.is_kernel);
+    }
   }
   EXPECT_TRUE(saw0);
   EXPECT_TRUE(saw1);
