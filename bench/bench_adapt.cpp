@@ -111,11 +111,7 @@ AdaptRun run_scenario(double scale, meas::GroupMask static_mask,
   clients::AdaptdConfig acfg;
   acfg.period = 250 * sim::kMillisecond;
   acfg.until = horizon;
-  acfg.delta = true;
   acfg.observe_traces = true;  // census + loss signal in every mode
-  // The real ktaud-parity processing cost (the historical adaptd drift
-  // charged 0 — DESIGN.md §12); this scenario charges it.
-  acfg.process_per_kb = 2500;
   acfg.control = control;
   // Per-period budgets: bursts blow the cycle budget at every scale
   // (iters * ~700 cycles of probe draws), quiet periods sit well under a

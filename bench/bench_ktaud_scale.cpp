@@ -1,6 +1,6 @@
 // Daemon-based monitoring at scale: many mostly-idle tasks on one node, a
-// periodic KTAUD pulling kernel profiles, legacy full extraction vs the
-// cursor-carrying delta protocol (wire v3).
+// periodic KTAUD pulling kernel profiles, full (zero-cursor) reads every
+// period vs cursor-carrying delta reads.
 //
 // The paper's §2 concern about daemon-based monitoring is that the monitor
 // perturbs the system it measures.  With full snapshots the per-period
@@ -12,8 +12,9 @@
 // Shape checks (PASS/FAIL gates; exit code = number of FAILs):
 //   - delta extraction moves >= 5x fewer bytes per steady-state period;
 //   - delta extraction moves fewer bytes in total;
-//   - the reassembled delta view carries the same cumulative totals as the
-//     legacy full read (merged through analysis::MergePipeline);
+//   - the daemon's delta stream, reassembled client-side and continued by
+//     one more read after the run, carries the same cumulative totals as a
+//     fresh full read (merged through analysis::MergePipeline);
 //   - KTAUD-induced perturbation is strictly lower with deltas (the
 //     monitored app finishes strictly earlier);
 //   - determinism: the delta run is bit-identical across two executions
@@ -38,11 +39,11 @@ struct ScaleRun {
   std::uint64_t steady_bytes = 0;  // bytes moved by the final period
   sim::TimeNs app_done = 0;        // monitored app completion time
   double daemon_cpu_share = 0;     // modelled processing time / horizon
-  // End-state kernel-wide views of the same simulation, one per wire
-  // version: a legacy v2 full read and a v3 delta stream reassembly, both
-  // merged through analysis::MergePipeline.
-  std::vector<analysis::EventRow> merged_v2;
-  std::vector<analysis::EventRow> merged_v3;
+  // End-state kernel-wide views of the same simulation: a fresh full read
+  // and the daemon's reassembled cursor stream, both merged through
+  // analysis::MergePipeline.
+  std::vector<analysis::EventRow> merged_full;
+  std::vector<analysis::EventRow> merged_stream;
 };
 
 kernel::Program app_program(int iters) {
@@ -102,18 +103,19 @@ ScaleRun run_scenario(double scale, bool delta) {
       charged_cycles / static_cast<double>(mcfg.freq) /
       (static_cast<double>(horizon) / static_cast<double>(sim::kSecond));
 
-  // End-state views of this simulation through both wire versions.
-  user::KtauHandle v2_handle(m.proc());
-  const meas::ProfileSnapshot v2_snap = v2_handle.get_profile(meas::Scope::All);
-  user::KtauHandle v3_handle(m.proc());
-  const meas::ProfileSnapshot& v3_snap =
-      v3_handle.get_profile_delta(meas::Scope::All);
-  analysis::MergePipeline v2_pipe;
-  v2_pipe.add(v2_snap);
-  out.merged_v2 = v2_pipe.event_rows();
-  analysis::MergePipeline v3_pipe;
-  v3_pipe.add(v3_snap);
-  out.merged_v3 = v3_pipe.event_rows();
+  // End-state views: a fresh full read, and one more read on the daemon's
+  // own cursor — in the delta mode a real delta frame folded onto every
+  // period's reassembly.
+  user::KtauHandle fresh(m.proc());
+  const meas::ProfileSnapshot full_snap = fresh.get_profile(meas::Scope::All);
+  const meas::ProfileSnapshot& stream_snap =
+      ktaud.handle().get_profile_delta(meas::Scope::All);
+  analysis::MergePipeline full_pipe;
+  full_pipe.add(full_snap);
+  out.merged_full = full_pipe.event_rows();
+  analysis::MergePipeline stream_pipe;
+  stream_pipe.add(stream_snap);
+  out.merged_stream = stream_pipe.event_rows();
   return out;
 }
 
@@ -171,19 +173,20 @@ void ktaud_report(Report& rep, const ScenarioParams&,
   rep.gate("same extraction cadence in both modes",
            full.extractions == delta.extractions && full.extractions > 100);
 
-  // Same simulation, two wire versions, one merge pipeline: the v3 delta
-  // reassembly must serve the exact rows the legacy v2 read does.
-  bool same_view = delta.merged_v2.size() == delta.merged_v3.size() &&
-                   !delta.merged_v2.empty();
+  // Same simulation, one merge pipeline: the delta stream's client-side
+  // reassembly must serve the exact rows a fresh full read does.
+  bool same_view = delta.merged_full.size() == delta.merged_stream.size() &&
+                   !delta.merged_full.empty();
   if (same_view) {
-    for (std::size_t i = 0; i < delta.merged_v2.size(); ++i) {
-      same_view = same_view &&
-                  delta.merged_v2[i].name == delta.merged_v3[i].name &&
-                  delta.merged_v2[i].count == delta.merged_v3[i].count &&
-                  delta.merged_v2[i].incl_sec == delta.merged_v3[i].incl_sec;
+    for (std::size_t i = 0; i < delta.merged_full.size(); ++i) {
+      same_view =
+          same_view &&
+          delta.merged_full[i].name == delta.merged_stream[i].name &&
+          delta.merged_full[i].count == delta.merged_stream[i].count &&
+          delta.merged_full[i].incl_sec == delta.merged_stream[i].incl_sec;
     }
   }
-  rep.gate("v3 reassembly matches the legacy v2 view", same_view);
+  rep.gate("delta reassembly matches a fresh full read", same_view);
 
   rep.gate("ktaud perturbation strictly lower with deltas",
            delta.app_done < full.app_done && delta.app_done > 0);

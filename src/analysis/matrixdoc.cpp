@@ -837,14 +837,27 @@ void diff_repeat(DiffSink& sink, const std::string& where,
     if (!in_a) sink.line(where + " " + tb.name + ": trial only in next document");
   }
 
-  // Gate flips.
+  // Gate flips, and gates present on one side only (removed or renamed).
+  auto find_gate = [](const std::vector<GateEntry>& gates,
+                      const std::string& name) -> const GateEntry* {
+    for (const GateEntry& g : gates) {
+      if (g.name == name) return &g;
+    }
+    return nullptr;
+  };
   for (const GateEntry& ga : a.gates) {
-    for (const GateEntry& gb : b.gates) {
-      if (ga.name == gb.name && ga.pass != gb.pass) {
-        sink.line(where + " gate \"" + ga.name + "\": " +
-                  (ga.pass ? "PASS" : "FAIL") + " -> " +
-                  (gb.pass ? "PASS" : "FAIL"));
-      }
+    const GateEntry* gb = find_gate(b.gates, ga.name);
+    if (gb == nullptr) {
+      sink.line(where + " gate \"" + ga.name + "\": only in base document");
+    } else if (ga.pass != gb->pass) {
+      sink.line(where + " gate \"" + ga.name + "\": " +
+                (ga.pass ? "PASS" : "FAIL") + " -> " +
+                (gb->pass ? "PASS" : "FAIL"));
+    }
+  }
+  for (const GateEntry& gb : b.gates) {
+    if (find_gate(a.gates, gb.name) == nullptr) {
+      sink.line(where + " gate \"" + gb.name + "\": only in next document");
     }
   }
 }

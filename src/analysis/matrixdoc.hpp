@@ -195,7 +195,7 @@ int render_validation(std::ostream& os, const MatrixDoc& doc,
 /// Compares `next` against `base` per (scenario, repeat, trial, metric) and
 /// reports every relative drift strictly above `threshold` (0.05 = 5%),
 /// every gate flip, and every structural change (scenario / repeat / trial
-/// / metric present on only one side).  Relative drift is
+/// / metric / gate present on only one side).  Relative drift is
 /// |next - base| / |base| (a zero or NaN base with a differing next counts
 /// as drift).  NaN == NaN for this purpose.  Returns the number of
 /// reported lines — the tool's exit status.  Throws std::invalid_argument

@@ -46,7 +46,7 @@ meas::TraceSnapshot merge_trace_frames(
       }
       meas::TaskTraceData& merged = out.tasks[it->second];
       if (merged.name.empty()) merged.name = t.name;
-      if (frame.incremental && !fresh && t.base_seq > merged.next_seq) {
+      if (!fresh && t.base_seq > merged.next_seq) {
         // Records between the frames that no frame accounts for: a reader
         // reset or a skipped frame.  Surface it, don't close over it.
         merged.gaps.push_back(meas::TraceGap{

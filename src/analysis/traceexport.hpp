@@ -16,8 +16,7 @@
 //
 // Events are globally time-sorted, so a viewer can replay the file in one
 // pass.  A reader is provided for round-trip validation and tooling.
-// Legacy (gapless) traces produce no G lines, so their exports are
-// unchanged.
+// Gapless traces produce no G lines.
 #pragma once
 
 #include <iosfwd>
@@ -30,16 +29,13 @@
 
 namespace ktau::analysis {
 
-/// Stitches a sequence of trace frames (ktaud's periodic extractions —
-/// legacy full-buffer snapshots or wire-v4 incremental drains, in
+/// Stitches a sequence of trace frames (ktaud's periodic cursor drains, in
 /// extraction order) into one combined snapshot: per-pid records
 /// concatenated, typed loss records accumulated, event tables unioned by
-/// id.  For incremental frames the merge is loss-aware twice over: each
-/// frame's own gaps carry through, and a cursor discontinuity *between*
-/// frames (frame N+1's base_seq past frame N's next_seq — a reset reader
-/// or a skipped frame) is synthesized into a gap rather than silently
-/// closed over.  Legacy frames merge exactly like the hand-rolled
-/// concatenation they replace (bare dropped counts, no gaps).
+/// id.  The merge is loss-aware twice over: each frame's own gaps carry
+/// through, and a cursor discontinuity *between* frames (frame N+1's
+/// base_seq past frame N's next_seq — a reset reader or a skipped frame)
+/// is synthesized into a gap rather than silently closed over.
 meas::TraceSnapshot merge_trace_frames(
     const std::vector<meas::TraceSnapshot>& frames);
 

@@ -10,8 +10,7 @@ Adaptd::Adaptd(kernel::Machine& m, const AdaptdConfig& cfg)
     : machine_(m),
       cfg_(cfg),
       handle_(m.proc()),
-      extractor_(handle_, /*pids=*/{}, cfg.delta,
-                 cfg.observe_traces || cfg.control) {
+      extractor_(handle_, /*pids=*/{}, /*delta=*/true) {
   // Control mode needs the trace-loss signal; force the drains on.
   cfg_.observe_traces = cfg_.observe_traces || cfg_.control;
   cur_groups_ = handle_.groups();
@@ -50,11 +49,10 @@ void Adaptd::decide_once() {
   std::uint64_t period_wire = handle_.last_profile_wire_bytes();
   std::uint64_t period_dropped = 0;
   if (cfg_.observe_traces) {
-    ExtractStats trace_stats;
-    const meas::TraceSnapshot frame = extractor_.extract_trace(trace_stats);
-    observed_trace_records_ += trace_stats.records;
-    observed_trace_dropped_ += trace_stats.dropped;
-    period_dropped = trace_stats.dropped;
+    const meas::TraceSnapshot frame = extractor_.extract_trace(stats);
+    observed_trace_records_ += stats.records;
+    observed_trace_dropped_ += stats.dropped;
+    period_dropped = stats.dropped;
     // Per-group record census: frames ship name-table additions with
     // absolute registry ids, so the learned id -> group map stays valid
     // across frames.
@@ -67,9 +65,7 @@ void Adaptd::decide_once() {
         }
       }
     }
-    stats.trace_bytes += trace_stats.trace_bytes;
-    stats.trace_wire_bytes += trace_stats.trace_wire_bytes;
-    period_wire += trace_stats.trace_wire_bytes;
+    period_wire += stats.trace_bytes;
   }
   observed_wire_bytes_ += period_wire;
   Extractor::charge(*task_, stats, cfg_.process_per_kb);

@@ -29,20 +29,14 @@ struct AdaptdConfig {
   /// meaningful number of them).
   double imbalance_ratio = 4.0;
   std::uint64_t min_irqs = 50;
-  /// Cursor-carrying delta extraction (wire v3) for the per-period profile
-  /// sample.  Off by default (legacy full reads).
-  bool delta = false;
-  /// Also sample trace activity each period through a cursor-carrying
-  /// wire-v4 drain (non-destructive: ktaud's trace collection is not
-  /// disturbed).  The controller only counts records/loss — a cheap "is
+  /// Also sample trace activity each period through a cursor drain
+  /// (non-destructive: ktaud's trace collection is not disturbed).  The controller only counts records/loss — a cheap "is
   /// anything bursting" signal — but the bytes go through the same stats
   /// and charging as everything else.  Off by default.
   bool observe_traces = false;
-  /// User-space processing cost per KiB of extracted profile data, cycles.
-  /// Historically adaptd charged nothing (a drift from ktaud, whose default
-  /// is 2500 — see DESIGN.md §12); the legacy default 0 is kept so existing
-  /// scenarios stay byte-identical.  Controller scenarios set the real cost.
-  std::uint64_t process_per_kb = 0;
+  /// User-space processing cost per KiB of extracted data, cycles (the
+  /// same default as ktaud's).
+  std::uint64_t process_per_kb = 2500;
 
   // -- measurement-control loop (DESIGN.md §12) ----------------------------
 

@@ -3,36 +3,18 @@
 namespace ktau::clients {
 
 const meas::ProfileSnapshot& Extractor::extract_profile(ExtractStats& stats) {
-  if (delta_) {
-    const meas::ProfileSnapshot& snap =
-        handle_.get_profile_delta(scope(), pids_);
-    stats.profile_bytes += handle_.last_profile_row_bytes();
-    return snap;
-  }
-  last_full_ = handle_.get_profile(scope(), pids_);
-  for (const auto& t : last_full_.tasks) {
-    stats.profile_bytes += t.events.size() * 28 + t.bridge.size() * 32;
-  }
-  return last_full_;
+  if (!delta_) handle_.reset_profile_cache();
+  const meas::ProfileSnapshot& snap = handle_.get_profile_delta(scope(), pids_);
+  stats.profile_bytes += handle_.last_profile_row_bytes();
+  return snap;
 }
 
 meas::TraceSnapshot Extractor::extract_trace(ExtractStats& stats) {
-  meas::TraceSnapshot trace = trace_drains_
-                                  ? handle_.get_trace_incremental(scope(), pids_)
-                                  : handle_.get_trace(scope(), pids_);
-  stats.trace_wire_bytes += handle_.last_trace_wire_bytes();
+  meas::TraceSnapshot trace = handle_.get_trace_incremental(scope(), pids_);
+  stats.trace_bytes += handle_.last_trace_wire_bytes();
   for (const auto& t : trace.tasks) {
     stats.records += t.records.size();
     stats.dropped += t.dropped;
-    if (!trace_drains_) {
-      stats.trace_bytes += t.records.size() * sizeof(meas::TraceRecord);
-    }
-  }
-  if (trace_drains_) {
-    // Charge only what shipped: the serialized frame (records, typed loss,
-    // name-table additions, framing), not the historical padded-record
-    // formula over a re-shipped full buffer.
-    stats.trace_bytes += handle_.last_trace_wire_bytes();
   }
   return trace;
 }

@@ -2,19 +2,16 @@
 //
 // Ktaud and Adaptd used to carry near-identical extract loops (and had
 // drifted on error handling and byte accounting); both now pull their data
-// through one Extractor.  It runs libKtau's size/read retry path in either
-// full-snapshot (legacy) or cursor-carrying delta mode, and owns the byte
-// accounting the daemons charge their simulated processing cost against:
+// through one Extractor.  It reads profiles through libKtau's cursor-
+// carrying size/read retry path and traces through cursor drains, and owns
+// the byte accounting the daemons charge their simulated processing cost
+// against:
 //
-//   legacy profiles:  decoded row payloads (events*28 + bridge*32 bytes) —
-//                     the historical KTAUD formula, kept bit-identical;
-//   delta profiles:   the same row formula over only the rows the delta
-//                     frame shipped — apples-to-apples with legacy, so the
-//                     saving shows up directly in the charged cost;
-//   legacy traces:    decoded record payloads (records * sizeof(TraceRecord))
-//                     — the historical formula, kept bit-identical;
-//   drained traces:   the wire bytes the cursor frame actually shipped
-//                     (charge only what moved, like profile deltas).
+//   profiles:  decoded row payloads (events*28 + bridge*32 bytes) over the
+//              rows the frame shipped — every row for a full read, only
+//              the changed ones for a delta read;
+//   traces:    the wire bytes the cursor frame actually shipped (records,
+//              typed loss, name-table additions, framing).
 #pragma once
 
 #include <cstdint>
@@ -32,8 +29,6 @@ struct ExtractStats {
   std::uint64_t trace_bytes = 0;    // accounted trace payload
   std::uint64_t records = 0;        // trace records pulled this period
   std::uint64_t dropped = 0;        // records lost to ring-buffer overwrite
-  std::uint64_t trace_wire_bytes = 0;  // serialized trace frame size (both
-                                       // modes; informational in legacy mode)
 
   std::uint64_t total_bytes() const { return profile_bytes + trace_bytes; }
 };
@@ -41,15 +36,10 @@ struct ExtractStats {
 class Extractor {
  public:
   /// `pids` empty selects Scope::All, otherwise Scope::Other — the same
-  /// rule both daemons applied.  `delta` switches profile extraction to
-  /// the cursor-carrying wire-v3 reads; `trace_drains` switches trace
-  /// extraction to the non-destructive cursor-carrying wire-v4 reads.
-  Extractor(user::KtauHandle& handle, std::vector<meas::Pid> pids, bool delta,
-            bool trace_drains = false)
-      : handle_(handle),
-        pids_(std::move(pids)),
-        delta_(delta),
-        trace_drains_(trace_drains) {}
+  /// rule both daemons applied.  `delta` keeps the handle's cursor across
+  /// profile reads; without it every read is a full (zero-cursor) read.
+  Extractor(user::KtauHandle& handle, std::vector<meas::Pid> pids, bool delta)
+      : handle_(handle), pids_(std::move(pids)), delta_(delta) {}
 
   Extractor(const Extractor&) = delete;
   Extractor& operator=(const Extractor&) = delete;
@@ -58,21 +48,16 @@ class Extractor {
     return pids_.empty() ? meas::Scope::All : meas::Scope::Other;
   }
   bool delta() const { return delta_; }
-  bool trace_drains() const { return trace_drains_; }
 
   /// Profile extraction through the shared retry path.  The returned
-  /// reference is the handle's reassembled cursor cache in delta mode, or
-  /// a freshly decoded full snapshot (stored in the extractor) otherwise;
-  /// either way it holds cumulative totals for every task.  Adds this
-  /// period's accounted profile bytes to `stats`.
+  /// reference is the handle's reassembled cursor cache, holding
+  /// cumulative totals for every task.  Adds this period's accounted
+  /// profile bytes to `stats`.
   const meas::ProfileSnapshot& extract_profile(ExtractStats& stats);
 
-  /// Trace extraction.  Legacy mode is the destructive full-buffer drain
-  /// (ring buffers empty on read); drains mode is the non-destructive
-  /// cursor read, returning only records appended since the previous call
-  /// plus typed loss.  Adds record/byte accounting to `stats` (legacy
-  /// charges the historical padded-record formula; drains charges the wire
-  /// bytes actually shipped).
+  /// Trace extraction: the non-destructive cursor read, returning only
+  /// records appended since the previous call plus typed loss.  Adds
+  /// record counts and the shipped wire bytes to `stats`.
   meas::TraceSnapshot extract_trace(ExtractStats& stats);
 
   /// Charges the period's user-space processing cost — per_kb cycles per
@@ -85,8 +70,6 @@ class Extractor {
   user::KtauHandle& handle_;
   std::vector<meas::Pid> pids_;
   bool delta_ = false;
-  bool trace_drains_ = false;
-  meas::ProfileSnapshot last_full_;
 };
 
 }  // namespace ktau::clients

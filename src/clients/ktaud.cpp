@@ -6,7 +6,7 @@ Ktaud::Ktaud(kernel::Machine& m, const KtaudConfig& cfg)
     : machine_(m),
       cfg_(cfg),
       handle_(m.proc()),
-      extractor_(handle_, cfg.pids, cfg.delta, cfg.trace_drains) {
+      extractor_(handle_, cfg.pids, cfg.delta) {
   task_ = &machine_.spawn("ktaud");
   task_->is_daemon = true;
   task_->program = daemon_program();
@@ -28,8 +28,6 @@ void Ktaud::extract_once() {
   ++extractions_;
   last_extract_bytes_ = stats.total_bytes();
   total_extract_bytes_ += last_extract_bytes_;
-  last_trace_wire_bytes_ = stats.trace_wire_bytes;
-  total_trace_wire_bytes_ += last_trace_wire_bytes_;
   // Charge the daemon's user-space processing cost for what it pulled.
   Extractor::charge(*task_, stats, cfg_.process_per_kb);
 }

@@ -27,17 +27,11 @@ struct KtaudConfig {
   std::vector<meas::Pid> pids;
   /// User-space processing cost per KiB of extracted data, cycles.
   std::uint64_t process_per_kb = 2500;
-  /// Cursor-carrying delta extraction (wire v3): each period pulls only
-  /// rows changed since the previous one, so the daemon's per-period
-  /// processing cost — and hence its perturbation of the system — drops
-  /// with the extracted byte count.  Off by default (legacy full reads).
+  /// Delta profile extraction: each period pulls only rows changed since
+  /// the previous one, so the daemon's per-period processing cost — and
+  /// hence its perturbation of the system — drops with the extracted byte
+  /// count.  Off by default (a full read every period).
   bool delta = false;
-  /// Cursor-carrying trace drains (wire v4): each period pulls only trace
-  /// records appended since the previous one — with typed loss records for
-  /// anything the rings overwrote — instead of re-reading full buffers.
-  /// The archived snapshots become per-period *frames*; merge them with
-  /// analysis::merge_trace_frames.  Off by default (legacy full reads).
-  bool trace_drains = false;
   /// Keep per-period snapshot archives in memory (tests read them).  The
   /// many-task scale bench turns this off, as a real daemon streaming to
   /// disk would.
@@ -57,6 +51,9 @@ class Ktaud {
   const std::vector<meas::ProfileSnapshot>& profiles() const {
     return profiles_;
   }
+  /// Per-period trace *frames*: each holds only the records appended since
+  /// the previous period, with typed loss records for anything the rings
+  /// overwrote.  Stitch them with analysis::merge_trace_frames.
   const std::vector<meas::TraceSnapshot>& traces() const { return traces_; }
 
   /// Total trace records captured across all extractions.
@@ -66,19 +63,15 @@ class Ktaud {
   std::uint64_t extractions() const { return extractions_; }
 
   /// Accounted bytes pulled by the most recent extraction period and in
-  /// total (what the processing cost is charged against).
+  /// total (what the processing cost is charged against): profile row
+  /// bytes plus trace wire bytes.
   std::uint64_t last_extract_bytes() const { return last_extract_bytes_; }
   std::uint64_t total_extract_bytes() const { return total_extract_bytes_; }
 
-  /// Serialized trace frame bytes moved by the most recent period and in
-  /// total — the wire traffic the drains mode exists to shrink (filled in
-  /// both modes, so the two are directly comparable).
-  std::uint64_t last_trace_wire_bytes() const { return last_trace_wire_bytes_; }
-  std::uint64_t total_trace_wire_bytes() const {
-    return total_trace_wire_bytes_;
-  }
-
   kernel::Task& task() { return *task_; }
+  /// The daemon's libKtau handle; a read through it after the run
+  /// continues the daemon's cursor streams.
+  user::KtauHandle& handle() { return handle_; }
 
  private:
   kernel::Program daemon_program();
@@ -97,8 +90,6 @@ class Ktaud {
   std::uint64_t extractions_ = 0;
   std::uint64_t last_extract_bytes_ = 0;
   std::uint64_t total_extract_bytes_ = 0;
-  std::uint64_t last_trace_wire_bytes_ = 0;
-  std::uint64_t total_trace_wire_bytes_ = 0;
 };
 
 }  // namespace ktau::clients

@@ -31,27 +31,10 @@ std::vector<TaskSnapshotInput> ProcKtau::select(Scope scope,
   return selected;
 }
 
-std::size_t ProcKtau::profile_size(Scope scope,
-                                   std::span<const Pid> pids) const {
-  // Session-less by design: computing the size means doing the
-  // serialization and reporting its length; nothing is cached.
-  const auto selected = select(scope, pids, /*include_reaped=*/scope == Scope::All);
-  return encode_profile(sys_.registry(), now_(), cpu_freq_, selected).size();
-}
-
-bool ProcKtau::profile_read(Scope scope, std::span<const Pid> pids,
-                            std::size_t capacity,
-                            std::vector<std::byte>& out) const {
-  out.clear();
-  const auto selected = select(scope, pids, /*include_reaped=*/scope == Scope::All);
-  auto bytes = encode_profile(sys_.registry(), now_(), cpu_freq_, selected);
-  if (bytes.size() > capacity) return false;  // grew since the size call
-  out = std::move(bytes);
-  return true;
-}
-
 std::size_t ProcKtau::profile_size(Scope scope, std::span<const Pid> pids,
                                    ProfileCursor cursor) const {
+  // Session-less by design: computing the size means doing the
+  // serialization and reporting its length; nothing is cached.
   const auto selected =
       select(scope, pids, /*include_reaped=*/scope == Scope::All);
   return encode_profile_delta(sys_.registry(), now_(), cpu_freq_, selected,
@@ -72,26 +55,6 @@ bool ProcKtau::profile_read(Scope scope, std::span<const Pid> pids,
   out = std::move(bytes);
   sys_.advance_extraction_epoch();
   return true;
-}
-
-std::vector<std::byte> ProcKtau::trace_read(Scope scope,
-                                            std::span<const Pid> pids) {
-  const auto selected = select(scope, pids, /*include_reaped=*/false);
-  std::vector<TaskTraceInput> inputs;
-  // Drained record storage must outlive encode_trace.
-  std::vector<std::vector<TraceRecord>> storage;
-  std::vector<std::uint64_t> dropped;
-  storage.reserve(selected.size());
-  inputs.reserve(selected.size());
-  for (const TaskSnapshotInput& view : selected) {
-    TaskProfile* prof = tasks_.find_profile(view.pid);
-    if (prof == nullptr || prof->trace() == nullptr) continue;
-    storage.emplace_back();
-    dropped.push_back(prof->trace()->drain(storage.back()));
-    inputs.push_back(TaskTraceInput{view.pid, view.name, dropped.back(),
-                                    &storage.back()});
-  }
-  return encode_trace(sys_.registry(), now_(), cpu_freq_, inputs);
 }
 
 std::vector<std::byte> ProcKtau::trace_read(Scope scope,

@@ -12,7 +12,9 @@
 // serialization would have right now; `profile_read()` re-serializes at
 // call time and fails (returns false) if the result no longer fits the
 // caller's buffer capacity, forcing the size/read retry loop that libKtau
-// implements.
+// implements.  Each plane has one wire format: profile reads are
+// cursor-carrying v3 frames and trace reads are cursor-carrying v4 frames;
+// a zero cursor makes either a full read.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +47,7 @@ class TaskTable {
   /// Snapshot views of all live tasks, in pid order.
   virtual std::vector<TaskSnapshotInput> live_tasks() const = 0;
 
-  /// Mutable profile access for trace draining.  Null if pid unknown.
+  /// Mutable profile access for trace-ring resizes.  Null if pid unknown.
   virtual TaskProfile* find_profile(Pid pid) = 0;
 
   /// View for one pid.  std::nullopt if unknown.
@@ -68,56 +70,40 @@ class ProcKtau {
   ProcKtau(KtauSystem& sys, TaskTable& tasks, sim::FreqHz cpu_freq,
            std::function<sim::TimeNs()> now);
 
-  // -- /proc/ktau/profile ---------------------------------------------------
-
-  /// First call of the two-call protocol: size (bytes) that a profile read
-  /// with this scope would produce *right now*.
-  std::size_t profile_size(Scope scope, std::span<const Pid> pids = {}) const;
-
-  /// Second call: serializes current data.  Returns true and fills `out`
-  /// when the serialization fits in `capacity` bytes; returns false (and
-  /// leaves `out` empty) when the data has grown past `capacity`, in which
-  /// case the client must re-query the size.
-  bool profile_read(Scope scope, std::span<const Pid> pids,
-                    std::size_t capacity, std::vector<std::byte>& out) const;
-
-  // -- cursor-carrying delta reads (wire version 3) -------------------------
+  // -- /proc/ktau/profile (wire version 3) ----------------------------------
   //
-  // Same session-less two-call protocol, but the client presents the cursor
-  // it got from its previous read and receives only rows stamped since then
-  // plus name-table additions.  The kernel still keeps no per-client state:
-  // the cursor lives entirely client-side (libKtau's ProfileAccumulator).
-  // A successful read advances the system extraction epoch so the next
-  // period's mutations are distinguishable from this one's.
+  // The client presents the cursor it got from its previous read and
+  // receives only rows stamped since then plus name-table additions; a
+  // zero cursor (ProfileCursor{}) reads everything.  The kernel keeps no
+  // per-client state: the cursor lives entirely client-side (libKtau's
+  // ProfileAccumulator).  A successful read advances the system extraction
+  // epoch so the next period's mutations are distinguishable from this
+  // one's.
 
-  /// Size a delta read with this cursor would produce right now.
+  /// First call of the two-call protocol: size (bytes) that a read with
+  /// this scope and cursor would produce *right now*.
   std::size_t profile_size(Scope scope, std::span<const Pid> pids,
                            ProfileCursor cursor) const;
 
-  /// Serializes rows changed since `cursor` and advances the extraction
-  /// epoch on success.  Same capacity/retry contract as the full read.
+  /// Second call: serializes rows changed since `cursor`.  Returns true,
+  /// fills `out` and advances the extraction epoch when the serialization
+  /// fits in `capacity` bytes; returns false (and leaves `out` empty) when
+  /// the data has grown past `capacity`, in which case the client must
+  /// re-query the size.
   bool profile_read(Scope scope, std::span<const Pid> pids,
                     ProfileCursor cursor, std::size_t capacity,
                     std::vector<std::byte>& out);
 
-  // -- /proc/ktau/trace -----------------------------------------------------
-
-  /// Drains trace buffers for the scope and serializes the result.  This is
-  /// a destructive read (ring buffers are emptied), as with the real trace
-  /// entry read by ktaud.
-  std::vector<std::byte> trace_read(Scope scope, std::span<const Pid> pids = {});
-
-  // -- cursor-carrying trace reads (wire version 4) -------------------------
+  // -- /proc/ktau/trace (wire version 4) ------------------------------------
   //
-  // Same session-less discipline as the profile delta reads, applied to the
-  // trace rings: the client presents the per-task sequence cursor from its
-  // previous read and receives only records with sequence >= cursor (plus
-  // name-table additions from cursor.names on).  The read is
-  // *non-destructive* — ring buffers are not consumed, so any number of
-  // readers with independent cursors coexist, and the legacy destructive
-  // drain above keeps working unchanged alongside them.  A task is shipped
-  // only when it has new records, counted loss, or the cursor has never
-  // seen it (so its zero cursor decodes to today's full-buffer read).
+  // Same session-less discipline applied to the trace rings: the client
+  // presents the per-task sequence cursor from its previous read and
+  // receives only records with sequence >= cursor (plus name-table
+  // additions from cursor.names on).  The read is *non-destructive* — ring
+  // buffers are not consumed, so any number of readers with independent
+  // cursors coexist.  A task is shipped only when it has new records,
+  // counted loss, or the cursor has never seen it (so a zero cursor reads
+  // everything the rings retain).
   std::vector<std::byte> trace_read(Scope scope, std::span<const Pid> pids,
                                     const TraceCursor& cursor) const;
 

@@ -9,8 +9,9 @@ namespace {
 
 constexpr std::uint32_t kProfileMagic = 0x4B544155;  // "KTAU"
 constexpr std::uint32_t kTraceMagic = 0x4B545243;    // "KTRC"
-constexpr std::uint32_t kVersionFull = 2;   // v2 added call-path edge rows
-constexpr std::uint32_t kVersionDelta = 3;  // v3 added cursor-carrying deltas
+// Versions 1 and 2 (cursor-less frames) are no longer accepted; the
+// numbering is kept so an old frame fails as an unsupported version.
+constexpr std::uint32_t kVersionDelta = 3;  // v3: cursor-carrying profiles
 constexpr std::uint32_t kVersionTraceCursor = 4;  // v4: cursor trace frames
 
 class ByteWriter {
@@ -94,9 +95,8 @@ constexpr std::size_t kMinTaskBytes = 4 + 4 + 4 * 4;           // pid+len+counts
 constexpr std::size_t kMinEventRowBytes = 4 + 8 + 8 + 8;
 constexpr std::size_t kMinAtomicRowBytes = 4 + 8 + 8 + 8 + 8;
 constexpr std::size_t kMinKeyedRowBytes = 8 + 8 + 8 + 8;       // bridge/edge
-constexpr std::size_t kMinTraceTaskBytes = 4 + 4 + 8 + 4;      // pid+len+drop+n
-// v4 adds base_seq + next_seq + first_lost_seq to the per-task header.
-constexpr std::size_t kMinTraceTaskV4Bytes = kMinTraceTaskBytes + 8 + 8 + 8;
+// pid + name len + base/next/first-lost seqs + dropped + record count.
+constexpr std::size_t kMinTraceTaskBytes = 4 + 4 + 8 + 8 + 8 + 8 + 4;
 constexpr std::size_t kMinTraceRecBytes = 8 + 4 + 1 + 8;
 
 void encode_event_table(ByteWriter& w, const EventRegistry& registry,
@@ -111,9 +111,8 @@ void encode_event_table(ByteWriter& w, const EventRegistry& registry,
 }
 
 // Serializes one task's profile body, emitting only rows stamped at or
-// after `min_epoch`.  min_epoch == 0 keeps every row and is the (byte-
-// identical) full-snapshot path; ordering is the same either way, which is
-// what makes a zero-cursor delta frame decode identically to a full one.
+// after `min_epoch` (0 keeps every row: the full-snapshot path).  Ordering
+// is the same either way.
 void encode_task_body(ByteWriter& w, const TaskSnapshotInput& t,
                       std::uint64_t min_epoch) {
   w.u32(t.pid);
@@ -213,22 +212,6 @@ std::string_view TraceSnapshot::event_name(EventId id) const {
   return {};
 }
 
-std::vector<std::byte> encode_profile(
-    const EventRegistry& registry, sim::TimeNs timestamp, sim::FreqHz cpu_freq,
-    const std::vector<TaskSnapshotInput>& tasks) {
-  ByteWriter w;
-  w.u32(kProfileMagic);
-  w.u32(kVersionFull);
-  w.u64(timestamp);
-  w.u64(cpu_freq);
-  encode_event_table(w, registry);
-  w.u32(static_cast<std::uint32_t>(tasks.size()));
-  for (const TaskSnapshotInput& t : tasks) {
-    encode_task_body(w, t, /*min_epoch=*/0);
-  }
-  return w.take();
-}
-
 std::vector<std::byte> encode_profile_delta(
     const EventRegistry& registry, sim::TimeNs timestamp, sim::FreqHz cpu_freq,
     const std::vector<TaskSnapshotInput>& tasks, ProfileCursor cursor,
@@ -263,19 +246,15 @@ ProfileSnapshot decode_profile(const std::vector<std::byte>& bytes) {
   if (r.u32() != kProfileMagic) {
     throw SnapshotError("KTAU profile snapshot: bad magic");
   }
-  const std::uint32_t version = r.u32();
-  if (version != kVersionFull && version != kVersionDelta) {
+  if (r.u32() != kVersionDelta) {
     throw SnapshotError("KTAU profile snapshot: unsupported version");
   }
   ProfileSnapshot snap;
   snap.timestamp = r.u64();
   snap.cpu_freq = r.u64();
-  if (version == kVersionDelta) {
-    snap.delta = true;
-    snap.base_epoch = r.u64();
-    snap.next_epoch = r.u64();
-    snap.name_base = r.u32();
-  }
+  snap.base_epoch = r.u64();
+  snap.next_epoch = r.u64();
+  snap.name_base = r.u32();
   snap.events = decode_event_table(r);
   const std::uint32_t ntasks = r.count(kMinTaskBytes);
   snap.tasks.reserve(ntasks);
@@ -360,25 +339,6 @@ void decode_trace_records(ByteReader& r, TaskTraceData& t) {
 
 }  // namespace
 
-std::vector<std::byte> encode_trace(const EventRegistry& registry,
-                                    sim::TimeNs timestamp, sim::FreqHz cpu_freq,
-                                    const std::vector<TaskTraceInput>& tasks) {
-  ByteWriter w;
-  w.u32(kTraceMagic);
-  w.u32(kVersionFull);
-  w.u64(timestamp);
-  w.u64(cpu_freq);
-  encode_event_table(w, registry);
-  w.u32(static_cast<std::uint32_t>(tasks.size()));
-  for (const TaskTraceInput& t : tasks) {
-    w.u32(t.pid);
-    w.str(t.name != nullptr ? *t.name : std::string_view{});
-    w.u64(t.dropped);
-    encode_trace_records(w, *t.records);
-  }
-  return w.take();
-}
-
 std::vector<std::byte> encode_trace_incremental(
     const EventRegistry& registry, sim::TimeNs timestamp, sim::FreqHz cpu_freq,
     const std::vector<TaskTraceInput>& tasks, std::uint32_t name_base) {
@@ -411,43 +371,32 @@ TraceSnapshot decode_trace(const std::vector<std::byte>& bytes) {
   if (r.u32() != kTraceMagic) {
     throw SnapshotError("KTAU trace snapshot: bad magic");
   }
-  const std::uint32_t version = r.u32();
-  if (version != kVersionFull && version != kVersionTraceCursor) {
+  if (r.u32() != kVersionTraceCursor) {
     throw SnapshotError("KTAU trace snapshot: unsupported version");
   }
   TraceSnapshot snap;
   snap.timestamp = r.u64();
   snap.cpu_freq = r.u64();
-  if (version == kVersionTraceCursor) {
-    snap.incremental = true;
-    snap.name_base = r.u32();
-  }
+  snap.name_base = r.u32();
   snap.events = decode_event_table(r);
-  const std::uint32_t ntasks = r.count(
-      version == kVersionTraceCursor ? kMinTraceTaskV4Bytes
-                                     : kMinTraceTaskBytes);
+  const std::uint32_t ntasks = r.count(kMinTraceTaskBytes);
   snap.tasks.reserve(ntasks);
   for (std::uint32_t i = 0; i < ntasks; ++i) {
     TaskTraceData t;
     t.pid = r.u32();
     t.name = r.str();
-    if (version == kVersionTraceCursor) {
-      t.base_seq = r.u64();
-      t.next_seq = r.u64();
-      t.dropped = r.u64();
-      const std::uint64_t first_lost = r.u64();
-      decode_trace_records(r, t);
-      if (t.dropped > 0) {
-        // The hole sits entirely before the first surviving record (ring
-        // overwrite is strictly oldest-first); without survivors the frame
-        // timestamp bounds it.
-        t.gaps.push_back(TraceGap{
-            t.records.empty() ? snap.timestamp : t.records.front().timestamp,
-            t.dropped, first_lost});
-      }
-    } else {
-      t.dropped = r.u64();
-      decode_trace_records(r, t);
+    t.base_seq = r.u64();
+    t.next_seq = r.u64();
+    t.dropped = r.u64();
+    const std::uint64_t first_lost = r.u64();
+    decode_trace_records(r, t);
+    if (t.dropped > 0) {
+      // The hole sits entirely before the first surviving record (ring
+      // overwrite is strictly oldest-first); without survivors the frame
+      // timestamp bounds it.
+      t.gaps.push_back(TraceGap{
+          t.records.empty() ? snap.timestamp : t.records.front().timestamp,
+          t.dropped, first_lost});
     }
     snap.tasks.push_back(std::move(t));
   }
@@ -458,13 +407,9 @@ void TraceCursor::advance(const TraceSnapshot& frame) {
   for (const TaskTraceData& t : frame.tasks) {
     seqs[t.pid] = t.next_seq;
   }
-  if (frame.incremental) {
-    const std::uint32_t held =
-        frame.name_base + static_cast<std::uint32_t>(frame.events.size());
-    if (held > names) names = held;
-  } else {
-    names = static_cast<std::uint32_t>(frame.events.size());
-  }
+  const std::uint32_t held =
+      frame.name_base + static_cast<std::uint32_t>(frame.events.size());
+  if (held > names) names = held;
 }
 
 void ProfileAccumulator::reset() {
@@ -474,11 +419,9 @@ void ProfileAccumulator::reset() {
 }
 
 void ProfileAccumulator::apply(const ProfileSnapshot& snap) {
-  if (!snap.delta || snap.base_epoch == 0) {
-    // Full state (legacy frame or zero-cursor delta frame): replace.
+  if (snap.base_epoch == 0) {
+    // Full state (zero-cursor frame): replace.
     merged_ = snap;
-    merged_.delta = false;
-    merged_.base_epoch = 0;
     merged_.name_base = 0;
     task_index_.clear();
     for (std::size_t i = 0; i < merged_.tasks.size(); ++i) {

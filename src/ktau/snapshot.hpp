@@ -113,18 +113,16 @@ struct ProfileCursor {
   bool operator==(const ProfileCursor&) const = default;
 };
 
-/// A decoded profile snapshot — either a full snapshot or, when
-/// `delta` is true, only the rows changed since `base_epoch` plus the
-/// name-table entries from `name_base` on.
+/// A decoded profile snapshot — a full snapshot when `base_epoch` is 0,
+/// otherwise only the rows changed since `base_epoch` plus the name-table
+/// entries from `name_base` on.
 struct ProfileSnapshot {
   sim::TimeNs timestamp = 0;
   sim::FreqHz cpu_freq = 0;  // for cycle <-> time conversion in analysis
   std::vector<EventDesc> events;
   std::vector<TaskProfileData> tasks;
 
-  // Delta framing (wire version 3).  Legacy full frames decode with
-  // delta == false and zeros here.
-  bool delta = false;
+  // Cursor framing (wire version 3).
   std::uint64_t base_epoch = 0;  // cursor the frame is relative to (0 = full)
   std::uint64_t next_epoch = 0;  // cursor epoch to present on the next read
   std::uint32_t name_base = 0;   // registry id of events[0] in a delta frame
@@ -170,8 +168,7 @@ struct TaskTraceData {
   std::uint64_t dropped = 0;  // records lost to ring-buffer overwrite
   std::vector<TraceRecord> records;
 
-  // Cursor framing (wire version 4).  Legacy v2 frames decode with zeros
-  // here and an empty gap list (their loss is a bare count).
+  // Cursor framing (wire version 4).
   std::uint64_t base_seq = 0;  // cursor this frame was read against
   std::uint64_t next_seq = 0;  // cursor to present on the next read
   std::vector<TraceGap> gaps;  // typed loss records (one per v4 frame hole;
@@ -184,10 +181,7 @@ struct TraceSnapshot {
   std::vector<EventDesc> events;
   std::vector<TaskTraceData> tasks;
 
-  // Cursor framing (wire version 4).  Legacy v2 full-buffer frames decode
-  // with incremental == false and name_base == 0.
-  bool incremental = false;
-  std::uint32_t name_base = 0;  // registry id of events[0] in a v4 frame
+  std::uint32_t name_base = 0;  // registry id of events[0]
 
   std::string_view event_name(EventId id) const;
 };
@@ -202,7 +196,7 @@ struct TraceCursor {
   std::uint32_t names = 0;
   /// Per-task read positions: next sequence number this reader wants.
   /// A task absent here has never been seen (cursor 0: read everything
-  /// retained, i.e. today's full-buffer semantics).
+  /// the ring retains).
   std::unordered_map<Pid, std::uint64_t> seqs;
 
   std::uint64_t seq(Pid pid) const {
@@ -225,40 +219,29 @@ struct TaskSnapshotInput {
   const TaskProfile* profile = nullptr;
 };
 
-/// Serializes profiles of `tasks` (plus the registry's event table).
-std::vector<std::byte> encode_profile(const EventRegistry& registry,
-                                      sim::TimeNs timestamp,
-                                      sim::FreqHz cpu_freq,
-                                      const std::vector<TaskSnapshotInput>& tasks);
-
-/// Serializes a delta frame (wire version 3) relative to `cursor`: only
+/// Serializes a profile frame (wire version 3) relative to `cursor`: only
 /// name-table entries from cursor.names on, only tasks dirty since
-/// cursor.epoch, and within them only rows stamped >= cursor.epoch.  With a
-/// zero cursor this emits the same structures in the same order as
-/// encode_profile (a v3-framed full snapshot).  `next_epoch` is the cursor
-/// epoch the client must present on its next read (the kernel's current
-/// extraction epoch + 1).
+/// cursor.epoch, and within them only rows stamped >= cursor.epoch.  A zero
+/// cursor serializes every task and every live row (a full snapshot).
+/// `next_epoch` is the cursor epoch the client must present on its next
+/// read (the kernel's current extraction epoch + 1).
 std::vector<std::byte> encode_profile_delta(
     const EventRegistry& registry, sim::TimeNs timestamp, sim::FreqHz cpu_freq,
     const std::vector<TaskSnapshotInput>& tasks, ProfileCursor cursor,
     std::uint64_t next_epoch);
 
-/// Serializes trace data.  Draining the per-task ring buffers is the
-/// caller's job (it is a destructive read); this just encodes the result.
+/// Input view of one task's trace read for serialization.  Reading the
+/// ring (ProcKtau, against the client's cursor) is the caller's job; this
+/// just encodes the result.
 struct TaskTraceInput {
   Pid pid = 0;
   const std::string* name = nullptr;
   std::uint64_t dropped = 0;
   const std::vector<TraceRecord>* records = nullptr;
-  // v4 cursor framing; ignored by the legacy (v2) encoder.
   std::uint64_t base_seq = 0;
   std::uint64_t next_seq = 0;
   std::uint64_t first_lost_seq = 0;  // meaningful iff dropped > 0
 };
-
-std::vector<std::byte> encode_trace(const EventRegistry& registry,
-                                    sim::TimeNs timestamp, sim::FreqHz cpu_freq,
-                                    const std::vector<TaskTraceInput>& tasks);
 
 /// Serializes a cursor-carrying trace frame (wire version 4): only
 /// name-table entries from `name_base` on, and (by the caller's selection)
@@ -266,31 +249,30 @@ std::vector<std::byte> encode_trace(const EventRegistry& registry,
 /// sequences [next_seq - records.size(), next_seq) — so they carry no
 /// per-record sequence field; loss is the typed {dropped, first_lost_seq}
 /// pair per task.  With a zero cursor the caller passes every traced task
-/// and name_base 0, and the frame decodes to the same records/loss a legacy
-/// v2 full-buffer read of a never-drained system yields.
+/// and name_base 0, and the frame carries everything the rings retain.
 std::vector<std::byte> encode_trace_incremental(
     const EventRegistry& registry, sim::TimeNs timestamp, sim::FreqHz cpu_freq,
     const std::vector<TaskTraceInput>& tasks, std::uint32_t name_base);
 
 // -- decoding (user side, used by libKtau) ----------------------------------
 
-/// Parses a profile snapshot, full (wire version 2) or delta (version 3).
-/// Throws SnapshotError on malformed input; element counts are validated
+/// Parses a profile frame (wire version 3).  Throws SnapshotError on
+/// malformed input or any other version; element counts are validated
 /// against the remaining bytes before any allocation, so corrupt counts
 /// cannot trigger huge reserves.
 ProfileSnapshot decode_profile(const std::vector<std::byte>& bytes);
 
-/// Parses a trace snapshot, full (wire version 2) or cursor-carrying
-/// incremental (version 4).  Throws SnapshotError on malformed input (same
-/// allocation guarantees as decode_profile).  v4 loss counts become typed
-/// TraceGap entries on the affected tasks.
+/// Parses a trace frame (wire version 4).  Throws SnapshotError on
+/// malformed input or any other version (same allocation guarantees as
+/// decode_profile).  Loss counts become typed TraceGap entries on the
+/// affected tasks.
 TraceSnapshot decode_trace(const std::vector<std::byte>& bytes);
 
-/// Client-side reassembly of full profile state from a stream of full and
-/// delta frames — the per-pid cursor cache behind libKtau's delta mode.
-/// Full frames reset the state; delta frames upsert changed rows (delta
-/// rows carry full cumulative values, not differences) keyed on
-/// (pid, row id) and append name-table additions.
+/// Client-side reassembly of full profile state from a stream of frames —
+/// the per-pid cursor cache behind libKtau's delta reads.  Zero-cursor
+/// frames reset the state; delta frames upsert changed rows (delta rows
+/// carry full cumulative values, not differences) keyed on (pid, row id)
+/// and append name-table additions.
 class ProfileAccumulator {
  public:
   /// Folds a decoded frame into the cached state and advances the cursor.

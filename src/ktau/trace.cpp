@@ -23,8 +23,8 @@ std::size_t TraceBuffer::resize(std::size_t capacity) {
   }
   // Shrinking keeps the newest `capacity` records; everything older is
   // discarded *counted*: bumping oldest_seq_ makes the discarded range
-  // [old oldest, new oldest) read as dropped records through read_from /
-  // dropped_since_drain, exactly as if push had overwritten them.
+  // [old oldest, new oldest) read as dropped records through read_from,
+  // exactly as if push had overwritten them.
   const std::uint64_t new_oldest = next_seq_ - oldest_seq_ > capacity
                                        ? next_seq_ - capacity
                                        : oldest_seq_;
@@ -44,7 +44,8 @@ TraceDrain TraceBuffer::read_from(std::uint64_t cursor,
   d.next_seq = next_seq_;
   // A cursor from "the future" (stale client of a reset kernel) clamps to
   // the end: nothing to deliver, no loss invented.
-  const std::uint64_t base = std::min(read_base(cursor), next_seq_);
+  const std::uint64_t base =
+      std::min(std::max(cursor, oldest_seq_), next_seq_);
   if (base > cursor) {
     d.loss.dropped = base - cursor;
     d.loss.first_seq = cursor;
@@ -54,12 +55,6 @@ TraceDrain TraceBuffer::read_from(std::uint64_t cursor,
     out.push_back(ring_[static_cast<std::size_t>(seq % ring_.size())]);
   }
   return d;
-}
-
-std::uint64_t TraceBuffer::drain(std::vector<TraceRecord>& out) {
-  const TraceDrain d = read_from(drain_cursor_, out);
-  drain_cursor_ = d.next_seq;
-  return d.loss.dropped;
 }
 
 }  // namespace ktau::meas

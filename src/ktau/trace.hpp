@@ -9,13 +9,10 @@
 // missed and where the gap sits in the event stream (the LTTng consumer
 // protocol's explicit loss events — see DESIGN.md §10).
 //
-// Two read disciplines coexist:
-//   - the legacy destructive drain() (the v2 full-buffer proc read), which
-//     consumes everything unread since the previous drain;
-//   - non-destructive cursor reads (read_from), where each reader holds its
-//     own sequence cursor client-side and the buffer keeps no per-reader
-//     state.  Multiple readers with independent cursors each see every
-//     retained record.
+// Reads are non-destructive cursor reads (read_from): each reader holds its
+// own sequence cursor client-side and the buffer keeps no per-reader state,
+// so multiple readers with independent cursors each see every retained
+// record.
 #pragma once
 
 #include <cstdint>
@@ -86,23 +83,8 @@ class TraceBuffer {
   TraceDrain read_from(std::uint64_t cursor,
                        std::vector<TraceRecord>& out) const;
 
-  /// Legacy destructive read: moves all records unread *by this buffer's
-  /// internal drain cursor* (oldest first) into `out` and returns the
-  /// number of records that were dropped since the previous drain.  This
-  /// is read_from() over a buffer-owned cursor — cursor readers and the
-  /// drain reader do not disturb each other.
-  std::uint64_t drain(std::vector<TraceRecord>& out);
-
   std::size_t capacity() const { return ring_.size(); }
-  /// Records the legacy drain cursor has not yet consumed.
-  std::size_t unread() const {
-    return static_cast<std::size_t>(next_seq_ - read_base(drain_cursor_));
-  }
   std::uint64_t total_pushed() const { return next_seq_; }
-  std::uint64_t dropped_since_drain() const {
-    const std::uint64_t oldest = oldest_seq();
-    return oldest > drain_cursor_ ? oldest - drain_cursor_ : 0;
-  }
 
   /// Sequence number the next pushed record will get (== total_pushed()).
   std::uint64_t next_seq() const { return next_seq_; }
@@ -112,16 +94,9 @@ class TraceBuffer {
   std::uint64_t oldest_seq() const { return oldest_seq_; }
 
  private:
-  /// First sequence a read from `cursor` can actually deliver.
-  std::uint64_t read_base(std::uint64_t cursor) const {
-    const std::uint64_t oldest = oldest_seq();
-    return cursor > oldest ? cursor : oldest;
-  }
-
   std::vector<TraceRecord> ring_;
-  std::uint64_t next_seq_ = 0;      // total records ever pushed
-  std::uint64_t oldest_seq_ = 0;    // oldest sequence still retained
-  std::uint64_t drain_cursor_ = 0;  // position of the legacy drain reader
+  std::uint64_t next_seq_ = 0;    // total records ever pushed
+  std::uint64_t oldest_seq_ = 0;  // oldest sequence still retained
 };
 
 }  // namespace ktau::meas

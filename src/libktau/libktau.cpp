@@ -10,41 +10,19 @@
 
 namespace ktau::user {
 
-meas::ProfileSnapshot KtauHandle::get_profile(meas::Scope scope,
-                                              std::span<const meas::Pid> pids) {
+std::vector<std::byte> KtauHandle::read_profile_frame(
+    meas::Scope scope, std::span<const meas::Pid> pids,
+    meas::ProfileCursor cursor) {
   // The kernel interface is session-less: first ask for the size, then
   // read.  The read can fail if the data grew in between (new processes,
-  // new events); re-query and retry.
-  std::size_t capacity = proc_.profile_size(scope, pids);
-  std::vector<std::byte> buf;
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    if (proc_.profile_read(scope, pids, capacity, buf)) {
-      last_profile_wire_bytes_ = buf.size();
-      return meas::decode_profile(buf);
-    }
-    capacity = proc_.profile_size(scope, pids);
-  }
-  throw std::runtime_error(
-      "libKtau: profile size kept changing; giving up after bounded retries");
-}
-
-const meas::ProfileSnapshot& KtauHandle::get_profile_delta(
-    meas::Scope scope, std::span<const meas::Pid> pids) {
-  // Same retry discipline as get_profile; the cursor does not change across
+  // new events); re-query and retry.  The cursor does not change across
   // retries (only a successful read advances the kernel's epoch).
-  const meas::ProfileCursor cursor = cache_.cursor();
   std::size_t capacity = proc_.profile_size(scope, pids, cursor);
   std::vector<std::byte> buf;
   for (int attempt = 0; attempt < 8; ++attempt) {
     if (proc_.profile_read(scope, pids, cursor, capacity, buf)) {
       last_profile_wire_bytes_ = buf.size();
-      const meas::ProfileSnapshot frame = meas::decode_profile(buf);
-      last_profile_row_bytes_ = 0;
-      for (const auto& t : frame.tasks) {
-        last_profile_row_bytes_ += t.events.size() * 28 + t.bridge.size() * 32;
-      }
-      cache_.apply(frame);
-      return cache_.merged();
+      return buf;
     }
     capacity = proc_.profile_size(scope, pids, cursor);
   }
@@ -52,18 +30,29 @@ const meas::ProfileSnapshot& KtauHandle::get_profile_delta(
       "libKtau: profile size kept changing; giving up after bounded retries");
 }
 
-meas::TraceSnapshot KtauHandle::get_trace(meas::Scope scope,
-                                          std::span<const meas::Pid> pids) {
-  const std::vector<std::byte> bytes = proc_.trace_read(scope, pids);
-  last_trace_wire_bytes_ = bytes.size();
-  return meas::decode_trace(bytes);
+meas::ProfileSnapshot KtauHandle::get_profile(meas::Scope scope,
+                                              std::span<const meas::Pid> pids) {
+  return meas::decode_profile(
+      read_profile_frame(scope, pids, meas::ProfileCursor{}));
+}
+
+const meas::ProfileSnapshot& KtauHandle::get_profile_delta(
+    meas::Scope scope, std::span<const meas::Pid> pids) {
+  const meas::ProfileSnapshot frame =
+      meas::decode_profile(read_profile_frame(scope, pids, cache_.cursor()));
+  last_profile_row_bytes_ = 0;
+  for (const auto& t : frame.tasks) {
+    last_profile_row_bytes_ += t.events.size() * 28 + t.bridge.size() * 32;
+  }
+  cache_.apply(frame);
+  return cache_.merged();
 }
 
 meas::TraceSnapshot KtauHandle::get_trace_incremental(
     meas::Scope scope, std::span<const meas::Pid> pids) {
-  // Single-call protocol like get_trace: the kernel serializes whatever the
-  // rings hold past the presented cursor; there is no size/retry dance
-  // because the read allocates its own buffer.
+  // Single-call protocol: the kernel serializes whatever the rings hold
+  // past the presented cursor; there is no size/retry dance because the
+  // read allocates its own buffer.
   const std::vector<std::byte> bytes =
       proc_.trace_read(scope, pids, trace_cursor_);
   last_trace_wire_bytes_ = bytes.size();

@@ -26,9 +26,11 @@ class KtauHandle {
 
   // -- data retrieval ---------------------------------------------------------
 
-  /// Reads a profile snapshot for the scope, running the size/read retry
-  /// loop.  Throws std::runtime_error if the data will not stabilise
-  /// (pathological; bounded retries).
+  /// One-shot full read: a zero-cursor profile frame for the scope, through
+  /// the size/read retry loop.  Leaves the handle's delta cache alone (the
+  /// read does advance the kernel's extraction epoch, which no cursor
+  /// reader can observe).  Throws std::runtime_error if the data will not
+  /// stabilise (pathological; bounded retries).
   meas::ProfileSnapshot get_profile(meas::Scope scope,
                                     std::span<const meas::Pid> pids = {});
 
@@ -37,10 +39,6 @@ class KtauHandle {
     const meas::Pid pids[] = {self};
     return get_profile(meas::Scope::Self, pids);
   }
-
-  /// Drains and decodes trace buffers (destructive read, as with ktaud).
-  meas::TraceSnapshot get_trace(meas::Scope scope,
-                                std::span<const meas::Pid> pids = {});
 
   /// Cursor-carrying trace read (wire version 4): presents the handle's
   /// per-task sequence cursor so the kernel ships only records appended
@@ -82,8 +80,8 @@ class KtauHandle {
   /// Drops the cache; the next delta read becomes a full read.
   void reset_profile_cache() { cache_.reset(); }
 
-  /// Wire bytes moved by the most recent get_trace/get_trace_incremental —
-  /// the charge-only-what-shipped basis for daemon trace extraction.
+  /// Wire bytes moved by the most recent get_trace_incremental — the
+  /// charge-only-what-shipped basis for daemon trace extraction.
   std::uint64_t last_trace_wire_bytes() const {
     return last_trace_wire_bytes_;
   }
@@ -118,6 +116,12 @@ class KtauHandle {
   meas::OverheadReport overhead() const { return proc_.ctl_overhead(); }
 
  private:
+  /// The shared size/read retry loop: returns the raw frame for `cursor`
+  /// and records its size in last_profile_wire_bytes_.
+  std::vector<std::byte> read_profile_frame(meas::Scope scope,
+                                            std::span<const meas::Pid> pids,
+                                            meas::ProfileCursor cursor);
+
   meas::ProcKtau& proc_;
   meas::ProfileAccumulator cache_;
   meas::TraceCursor trace_cursor_;

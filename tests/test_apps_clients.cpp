@@ -413,7 +413,7 @@ TEST(AnalysisRender, TimelineMergesUserAndKernelEvents) {
   cluster.run_until(4 * kMillisecond);  // before exit, buffers still live
 
   user::KtauHandle handle(m.proc());
-  const auto ktrace = handle.get_trace(meas::Scope::All);
+  const auto ktrace = handle.get_trace_incremental(meas::Scope::All);
   const auto events = analysis::merge_timeline(ktrace, pid, tau);
   ASSERT_GT(events.size(), 2u);
   bool has_user = false, has_kernel = false;

@@ -334,9 +334,11 @@ TEST(Callpath, CorruptedEdgeSectionsRejectedNotCrashing) {
   m.launch(t);
   cluster.run();
 
-  const std::size_t size = m.proc().profile_size(meas::Scope::All);
+  const std::size_t size =
+      m.proc().profile_size(meas::Scope::All, {}, meas::ProfileCursor{});
   std::vector<std::byte> full;
-  ASSERT_TRUE(m.proc().profile_read(meas::Scope::All, {}, size, full));
+  ASSERT_TRUE(m.proc().profile_read(meas::Scope::All, {},
+                                    meas::ProfileCursor{}, size, full));
   const auto snap = meas::decode_profile(full);
   ASSERT_FALSE(analysis::task_of(snap, 100).edges.empty());
 

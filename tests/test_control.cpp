@@ -71,9 +71,7 @@ TEST(TraceResize, ShrinkKeepsNewestAndCountsTypedLoss) {
   EXPECT_EQ(buf.oldest_seq(), 6u);
 
   // The six discarded records surface exactly like ring overwrite: typed
-  // loss on a cursor read, counted via dropped_since_drain for the legacy
-  // reader — never silent.
-  EXPECT_EQ(buf.dropped_since_drain(), 6u);
+  // loss on a cursor read — never silent.
   std::vector<TraceRecord> out;
   meas::TraceDrain d = buf.read_from(0, out);
   EXPECT_EQ(d.loss.dropped, 6u);
@@ -115,12 +113,13 @@ TEST(TraceResize, DrainCursorSurvivesResize) {
   TraceBuffer buf(4);
   for (std::uint64_t i = 0; i < 4; ++i) buf.push(rec(i));
   std::vector<TraceRecord> out;
-  EXPECT_EQ(buf.drain(out), 0u);  // legacy reader consumes 0..3
+  const meas::TraceDrain first = buf.read_from(0, out);  // reads 0..3
+  EXPECT_EQ(first.loss.dropped, 0u);
   out.clear();
 
-  buf.resize(2);  // nothing retained is unread; nothing new lost to drain
+  buf.resize(2);  // nothing retained is unread; the reader loses nothing
   for (std::uint64_t i = 4; i < 6; ++i) buf.push(rec(i));
-  EXPECT_EQ(buf.drain(out), 0u);
+  EXPECT_EQ(buf.read_from(first.next_seq, out).loss.dropped, 0u);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0], rec(4));
   EXPECT_EQ(out[1], rec(5));
@@ -429,7 +428,6 @@ TEST(Controller, MasksDownUnderPressureAndGrowsLossyRings) {
   clients::AdaptdConfig acfg;
   acfg.period = 100 * kMillisecond;
   acfg.until = 2 * kSecond;
-  acfg.delta = true;
   acfg.control = true;
   acfg.cycles_budget = 50'000;  // the hammer blows this every period
   acfg.max_trace_capacity = 4096;
@@ -474,7 +472,6 @@ TEST(Controller, StaysQuietWhenWithinBudgets) {
   clients::AdaptdConfig acfg;
   acfg.period = 100 * kMillisecond;
   acfg.until = 1 * kSecond;
-  acfg.delta = true;
   acfg.control = true;  // generous default budgets
   clients::Adaptd adaptd(m, acfg);
 

@@ -142,7 +142,7 @@ TEST(DirtyEpochs, DeltaReadSkipsTasksUntouchedSinceCursor) {
                                     handle.profile_cache().cursor(), dsize,
                                     buf));
   const auto second = meas::decode_profile(buf);
-  EXPECT_TRUE(second.delta);
+  EXPECT_GT(second.base_epoch, 0u);
   EXPECT_EQ(second.events.size(), 0u);  // no new names since the full read
   bool second_has_done = false, second_has_busy = false;
   for (const auto& task : second.tasks) {
@@ -173,6 +173,44 @@ TEST(Accumulator, DeltaStreamConvergesToFullRead) {
   const auto full = full_handle.get_profile(meas::Scope::All);
   EXPECT_EQ(merged.events.size(), full.events.size());
   expect_same_totals(full, merged);
+}
+
+TEST(Accumulator, OneShotFullReadBetweenDeltaReadsLosesNoRows) {
+  Cluster cluster;
+  Machine& m = cluster.add_machine(quiet());
+  Task& t = m.spawn("app");
+  t.program = busy_loop(10);  // busy until ~50 ms, then exits
+  m.launch(t);
+  cluster.run_until(20 * kMillisecond);
+
+  KtauHandle handle(m.proc());
+  handle.get_profile_delta(meas::Scope::All);
+  const meas::ProfileCursor cursor = handle.profile_cache().cursor();
+  cluster.run_until(60 * kMillisecond);  // app rows change, then it exits
+
+  // A one-shot full read on the same handle advances the kernel's
+  // extraction epoch but leaves the handle's cursor cache alone.
+  const std::uint64_t epoch = m.ktau().extraction_epoch();
+  const auto mid = handle.get_profile(meas::Scope::All);
+  EXPECT_EQ(mid.base_epoch, 0u);
+  EXPECT_EQ(m.ktau().extraction_epoch(), epoch + 1);
+  EXPECT_EQ(handle.profile_cache().cursor(), cursor);
+  auto app_rows = [](const meas::ProfileSnapshot& snap) {
+    for (const auto& task : snap.tasks) {
+      if (task.name == "app") return task.events;
+    }
+    return std::vector<meas::EventEntry>{};
+  };
+  EXPECT_NE(app_rows(mid), app_rows(handle.profile_cache().merged()));
+
+  // The next delta read still ships every row changed since its cursor —
+  // the app's rows changed before the full read, and nothing touched them
+  // after it — so the reassembly matches a fresh full read.
+  cluster.run_until(90 * kMillisecond);
+  const auto& merged = handle.get_profile_delta(meas::Scope::All);
+  EXPECT_EQ(app_rows(merged), app_rows(mid));
+  KtauHandle fresh(m.proc());
+  expect_same_totals(fresh.get_profile(meas::Scope::All), merged);
 }
 
 TEST(Accumulator, TwoClientsWithIndependentCursorsBothConverge) {
@@ -356,11 +394,12 @@ TEST(MergePipeline, AddFrameConsumesBothWireVersions) {
   m.launch(t);
   cluster.run_until(50 * kMillisecond);
 
-  // Source 0: one legacy full frame.  Source 1: a v3 delta stream.
-  const std::size_t fsize = m.proc().profile_size(meas::Scope::All);
+  // Source 0: one zero-cursor (full) frame.  Source 1: a delta stream.
+  const std::size_t fsize =
+      m.proc().profile_size(meas::Scope::All, {}, meas::ProfileCursor{});
   std::vector<std::byte> full_frame;
-  ASSERT_TRUE(
-      m.proc().profile_read(meas::Scope::All, {}, fsize, full_frame));
+  ASSERT_TRUE(m.proc().profile_read(meas::Scope::All, {},
+                                    meas::ProfileCursor{}, fsize, full_frame));
 
   analysis::MergePipeline p;
   p.add_frame(0, full_frame);
@@ -384,7 +423,7 @@ TEST(MergePipeline, AddFrameConsumesBothWireVersions) {
   KtauHandle fresh(m.proc());
   const auto full_now = fresh.get_profile(meas::Scope::All);
   expect_same_totals(full_now, p.source(1));
-  // And the cross-version merge serves rows covering both sources.
+  // And the merge serves rows covering both sources.
   EXPECT_GT(p.event_rows().size(), 0u);
 }
 

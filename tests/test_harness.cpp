@@ -789,29 +789,32 @@ TEST(TraceBufferEdges, CapacityZeroRejected) {
 TEST(TraceBufferEdges, ExactFillDropsNothing) {
   meas::TraceBuffer buf(4);
   for (std::uint64_t i = 1; i <= 4; ++i) buf.push(rec(i));
-  EXPECT_EQ(buf.unread(), 4u);
-  EXPECT_EQ(buf.dropped_since_drain(), 0u);
   std::vector<meas::TraceRecord> out;
-  EXPECT_EQ(buf.drain(out), 0u);
+  const meas::TraceDrain d = buf.read_from(0, out);
+  EXPECT_EQ(d.loss.dropped, 0u);
   ASSERT_EQ(out.size(), 4u);
   for (std::uint64_t i = 0; i < 4; ++i) EXPECT_EQ(out[i].value, i + 1);
-  EXPECT_EQ(buf.unread(), 0u);
+  EXPECT_EQ(d.next_seq, 4u);
   EXPECT_EQ(buf.total_pushed(), 4u);
+  out.clear();
+  buf.read_from(d.next_seq, out);
+  EXPECT_TRUE(out.empty()) << "nothing left past the returned cursor";
 }
 
 TEST(TraceBufferEdges, OverflowOverwritesOldestAndCountsDrops) {
   meas::TraceBuffer buf(4);
   for (std::uint64_t i = 1; i <= 6; ++i) buf.push(rec(i));
-  EXPECT_EQ(buf.unread(), 4u) << "ring never holds more than capacity";
-  EXPECT_EQ(buf.dropped_since_drain(), 2u);
+  EXPECT_EQ(buf.oldest_seq(), 2u) << "ring never holds more than capacity";
   EXPECT_EQ(buf.total_pushed(), 6u);
   std::vector<meas::TraceRecord> out;
-  EXPECT_EQ(buf.drain(out), 2u);
+  const meas::TraceDrain d = buf.read_from(0, out);
+  EXPECT_EQ(d.loss.dropped, 2u);
   ASSERT_EQ(out.size(), 4u);
-  // The two oldest records (1, 2) were overwritten; the survivors drain
+  // The two oldest records (1, 2) were overwritten; the survivors read
   // oldest-first.
   for (std::uint64_t i = 0; i < 4; ++i) EXPECT_EQ(out[i].value, i + 3);
-  EXPECT_EQ(buf.dropped_since_drain(), 0u) << "drain resets the counter";
+  EXPECT_EQ(buf.read_from(d.next_seq, out).loss.dropped, 0u)
+      << "loss is reported once per cursor";
 }
 
 TEST(TraceBufferEdges, CapacityOneKeepsOnlyTheNewest) {
@@ -819,9 +822,8 @@ TEST(TraceBufferEdges, CapacityOneKeepsOnlyTheNewest) {
   buf.push(rec(1));
   buf.push(rec(2));
   buf.push(rec(3));
-  EXPECT_EQ(buf.unread(), 1u);
   std::vector<meas::TraceRecord> out;
-  EXPECT_EQ(buf.drain(out), 2u);
+  EXPECT_EQ(buf.read_from(0, out).loss.dropped, 2u);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].value, 3u);
 }
@@ -831,14 +833,15 @@ TEST(TraceBufferEdges, DrainAppendsAndBufferIsReusable) {
   buf.push(rec(1));
   std::vector<meas::TraceRecord> out;
   out.push_back(rec(99));
-  EXPECT_EQ(buf.drain(out), 0u);
-  ASSERT_EQ(out.size(), 2u) << "drain appends, it does not clear";
+  const meas::TraceDrain d = buf.read_from(0, out);
+  EXPECT_EQ(d.loss.dropped, 0u);
+  ASSERT_EQ(out.size(), 2u) << "a read appends, it does not clear";
   EXPECT_EQ(out[1].value, 1u);
 
-  // Post-drain pushes wrap correctly from the reset head.
+  // Later pushes wrap correctly past the reader's cursor.
   for (std::uint64_t i = 10; i <= 12; ++i) buf.push(rec(i));
   out.clear();
-  EXPECT_EQ(buf.drain(out), 1u);
+  EXPECT_EQ(buf.read_from(d.next_seq, out).loss.dropped, 1u);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].value, 11u);
   EXPECT_EQ(out[1].value, 12u);

@@ -2,6 +2,7 @@
 // modes, the ASCII round trip, kernel control, and trace extraction.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 
 #include "kernel/cluster.hpp"
@@ -41,10 +42,12 @@ TEST(ProcKtau, ProfileSizeThenReadSucceeds) {
   m.launch(t);
   cluster.run_until(20 * kMillisecond);
 
-  const std::size_t size = m.proc().profile_size(meas::Scope::All);
+  const std::size_t size =
+      m.proc().profile_size(meas::Scope::All, {}, meas::ProfileCursor{});
   EXPECT_GT(size, 0u);
   std::vector<std::byte> buf;
-  ASSERT_TRUE(m.proc().profile_read(meas::Scope::All, {}, size, buf));
+  ASSERT_TRUE(m.proc().profile_read(meas::Scope::All, {},
+                                    meas::ProfileCursor{}, size, buf));
   EXPECT_EQ(buf.size(), size);  // nothing changed in between
   const auto snap = meas::decode_profile(buf);
   EXPECT_GT(snap.tasks.size(), 0u);
@@ -58,12 +61,14 @@ TEST(ProcKtau, ReadFailsWhenDataOutgrowsCapacity) {
   m.launch(t);
   cluster.run_until(8 * kMillisecond);
 
-  const std::size_t size = m.proc().profile_size(meas::Scope::All);
+  const std::size_t size =
+      m.proc().profile_size(meas::Scope::All, {}, meas::ProfileCursor{});
   // Data grows (more events recorded) between size and read: the
   // session-less protocol reports failure instead of truncating.
   cluster.run_until(30 * kMillisecond);
   std::vector<std::byte> buf;
-  const bool ok = m.proc().profile_read(meas::Scope::All, {}, size, buf);
+  const bool ok = m.proc().profile_read(meas::Scope::All, {},
+                                        meas::ProfileCursor{}, size, buf);
   if (!ok) {
     EXPECT_TRUE(buf.empty());
     // The retry loop in libKtau handles exactly this:
@@ -85,7 +90,8 @@ TEST(ProcKtau, SpawnBetweenSizeAndReadExercisesRetryLoop) {
   m.launch(t);
   cluster.run_until(10 * kMillisecond);
 
-  const std::size_t size = m.proc().profile_size(meas::Scope::All);
+  const std::size_t size =
+      m.proc().profile_size(meas::Scope::All, {}, meas::ProfileCursor{});
   // A task spawns and runs between the size probe and the read: the frame
   // outgrows the stale capacity and the session-less protocol rejects it.
   Task& late = m.spawn("latecomer");
@@ -93,7 +99,8 @@ TEST(ProcKtau, SpawnBetweenSizeAndReadExercisesRetryLoop) {
   m.launch(late);
   cluster.run_until(20 * kMillisecond);
   std::vector<std::byte> buf;
-  ASSERT_FALSE(m.proc().profile_read(meas::Scope::All, {}, size, buf));
+  ASSERT_FALSE(m.proc().profile_read(meas::Scope::All, {},
+                                     meas::ProfileCursor{}, size, buf));
   EXPECT_TRUE(buf.empty());
 
   // libKtau's size/read retry loop absorbs exactly this race.
@@ -114,7 +121,8 @@ TEST(ProcKtau, ExitBetweenSizeAndReadKeepsOtherScopeConsistent) {
   t.program = busy_loop(3);
   m.launch(t);
   cluster.run_until(5 * kMillisecond);
-  const std::size_t size = m.proc().profile_size(meas::Scope::Other, pids);
+  const std::size_t size =
+      m.proc().profile_size(meas::Scope::Other, pids, meas::ProfileCursor{});
   EXPECT_GT(size, 0u);
   cluster.run();  // task exits and is reaped between size and read
 
@@ -122,7 +130,8 @@ TEST(ProcKtau, ExitBetweenSizeAndReadKeepsOtherScopeConsistent) {
   // succeeds (capacity is an upper bound) but the pid is gone.  The retry
   // loop in libKtau must also terminate on this shrink path.
   std::vector<std::byte> buf;
-  ASSERT_TRUE(m.proc().profile_read(meas::Scope::Other, pids, size, buf));
+  ASSERT_TRUE(m.proc().profile_read(meas::Scope::Other, pids,
+                                    meas::ProfileCursor{}, size, buf));
   EXPECT_LE(buf.size(), size);
   const auto snap = meas::decode_profile(buf);
   EXPECT_TRUE(snap.tasks.empty());
@@ -157,7 +166,7 @@ TEST(ProcKtau, CursorReadFailureDoesNotAdvanceEpoch) {
                                     meas::ProfileCursor{}, size, buf));
   EXPECT_EQ(m.ktau().extraction_epoch(), epoch0 + 1);
   const auto snap = meas::decode_profile(buf);
-  EXPECT_TRUE(snap.delta);
+  EXPECT_EQ(snap.base_epoch, 0u);
   EXPECT_EQ(snap.next_epoch, epoch0 + 1);
 }
 
@@ -301,17 +310,22 @@ TEST(ProcKtau, TraceReadDrainsBuffers) {
   m.launch(t);
   cluster.run_until(30 * kMillisecond);
 
+  auto records = [](const meas::TraceSnapshot& trace) {
+    std::size_t total = 0;
+    for (const auto& task : trace.tasks) total += task.records.size();
+    return total;
+  };
   KtauHandle handle(m.proc());
-  const auto trace1 = handle.get_trace(meas::Scope::All);
-  std::size_t total1 = 0;
-  for (const auto& task : trace1.tasks) total1 += task.records.size();
+  const std::size_t total1 =
+      records(handle.get_trace_incremental(meas::Scope::All));
   EXPECT_GT(total1, 0u);
 
-  // Destructive read: an immediate second read returns nothing new.
-  const auto trace2 = handle.get_trace(meas::Scope::All);
-  std::size_t total2 = 0;
-  for (const auto& task : trace2.tasks) total2 += task.records.size();
-  EXPECT_EQ(total2, 0u);
+  // The handle's cursor drains: an immediate second read returns nothing
+  // new.  The rings themselves are not consumed — a fresh reader still
+  // gets every record.
+  EXPECT_EQ(records(handle.get_trace_incremental(meas::Scope::All)), 0u);
+  KtauHandle fresh(m.proc());
+  EXPECT_EQ(records(fresh.get_trace_incremental(meas::Scope::All)), total1);
 }
 
 TEST(ProcKtau, TraceRecordsAreBalancedAndOrdered) {
@@ -326,8 +340,8 @@ TEST(ProcKtau, TraceRecordsAreBalancedAndOrdered) {
   cluster.run();
 
   KtauHandle handle(m.proc());
-  // Reaped tasks' buffers are no longer drainable; read the live swapper.
-  const auto trace = handle.get_trace(meas::Scope::All);
+  // Trace reads see live tasks only; read the live swapper.
+  const auto trace = handle.get_trace_incremental(meas::Scope::All);
   for (const auto& task : trace.tasks) {
     sim::TimeNs prev = 0;
     for (const auto& rec : task.records) {
@@ -413,8 +427,9 @@ TEST(SnapshotCodec, DecodeRejectsCorruptData) {
   EXPECT_THROW(meas::decode_profile(junk), meas::SnapshotError);
 }
 
-// A small but fully populated profile + trace serialization to corrupt,
-// in both wire versions (v2 full frame, v3 zero-cursor delta frame).
+// A small but fully populated profile + trace serialization to corrupt:
+// a zero-cursor profile frame (full state), a real delta frame read
+// against the cursor that frame returned, and a zero-cursor trace frame.
 struct SampleBytes {
   std::vector<std::byte> profile;
   std::vector<std::byte> delta;
@@ -428,35 +443,60 @@ struct SampleBytes {
     Task& t = m.spawn("app");
     t.program = busy_loop(10);
     m.launch(t);
+    cluster.run_until(20 * kMillisecond);
+    profile = read(m, meas::ProfileCursor{});
+    const auto full = meas::decode_profile(profile);
     cluster.run();
-    const std::size_t size = m.proc().profile_size(meas::Scope::All);
-    EXPECT_TRUE(m.proc().profile_read(meas::Scope::All, {}, size, profile));
-    const std::size_t dsize =
-        m.proc().profile_size(meas::Scope::All, {}, meas::ProfileCursor{});
-    EXPECT_TRUE(m.proc().profile_read(meas::Scope::All, {},
-                                      meas::ProfileCursor{}, dsize, delta));
-    trace = m.proc().trace_read(meas::Scope::All);
+    delta = read(m, {full.next_epoch,
+                     static_cast<std::uint32_t>(full.events.size())});
+    trace = m.proc().trace_read(meas::Scope::All, {}, meas::TraceCursor{});
+  }
+
+  static std::vector<std::byte> read(Machine& m, meas::ProfileCursor cursor) {
+    const std::size_t size = m.proc().profile_size(meas::Scope::All, {}, cursor);
+    std::vector<std::byte> out;
+    EXPECT_TRUE(m.proc().profile_read(meas::Scope::All, {}, cursor, size, out));
+    return out;
   }
 };
 
-TEST(SnapshotCodec, ZeroCursorDeltaFrameDecodesIdenticallyToLegacy) {
-  // Property: a v3 frame produced against a zero cursor carries the exact
-  // payload a legacy v2 full frame does — only the framing differs.  This
-  // is what lets every consumer treat the two versions interchangeably.
+TEST(SnapshotCodec, ZeroCursorAndDeltaFramesCarryTheirCursors) {
+  // A zero-cursor frame is a full snapshot framed at cursor 0; the delta
+  // frame read against the cursor it returned is framed at that cursor and
+  // carries the rows that changed since.
   const SampleBytes sample;
   const auto full = meas::decode_profile(sample.profile);
-  const auto v3 = meas::decode_profile(sample.delta);
+  const auto delta = meas::decode_profile(sample.delta);
 
-  EXPECT_FALSE(full.delta);
-  EXPECT_TRUE(v3.delta);
-  EXPECT_EQ(v3.base_epoch, 0u);
-  EXPECT_EQ(v3.name_base, 0u);
-  EXPECT_GT(v3.next_epoch, 0u);
+  EXPECT_EQ(full.base_epoch, 0u);
+  EXPECT_EQ(full.name_base, 0u);
+  EXPECT_GT(full.next_epoch, 0u);
+  EXPECT_FALSE(full.events.empty());
+  EXPECT_FALSE(full.tasks.empty());
 
-  EXPECT_EQ(v3.timestamp, full.timestamp);
-  EXPECT_EQ(v3.cpu_freq, full.cpu_freq);
-  EXPECT_EQ(v3.events, full.events);
-  EXPECT_EQ(v3.tasks, full.tasks);
+  EXPECT_EQ(delta.base_epoch, full.next_epoch);
+  EXPECT_EQ(delta.name_base, full.events.size());
+  EXPECT_GT(delta.next_epoch, delta.base_epoch);
+  EXPECT_GT(delta.timestamp, full.timestamp);
+  ASSERT_FALSE(delta.tasks.empty());
+  bool app_rows = false;
+  for (const auto& t : delta.tasks) {
+    if (t.name == "app") app_rows = !t.events.empty();
+  }
+  EXPECT_TRUE(app_rows);
+}
+
+TEST(SnapshotCodec, Version2FramesRejectedAsUnsupported) {
+  // Cursor-less version-2 frames are gone from the protocol; a frame that
+  // claims version 2 fails typed, for either plane.
+  const SampleBytes sample;
+  const std::uint32_t v2 = 2;
+  auto profile = sample.profile;
+  std::memcpy(profile.data() + 4, &v2, sizeof v2);
+  EXPECT_THROW(meas::decode_profile(profile), meas::SnapshotError);
+  auto trace = sample.trace;
+  std::memcpy(trace.data() + 4, &v2, sizeof v2);
+  EXPECT_THROW(meas::decode_trace(trace), meas::SnapshotError);
 }
 
 TEST(SnapshotCodec, DeltaFrameTruncationAtEveryOffsetRejected) {
@@ -554,17 +594,18 @@ TEST(TraceBuffer, LossyRingDropsOldest) {
   for (std::uint64_t i = 0; i < 10; ++i) {
     buf.push({i, static_cast<meas::EventId>(i), meas::TraceType::Entry, 0});
   }
-  EXPECT_EQ(buf.unread(), 4u);
   EXPECT_EQ(buf.total_pushed(), 10u);
   std::vector<meas::TraceRecord> out;
-  const auto dropped = buf.drain(out);
-  EXPECT_EQ(dropped, 6u);
+  const meas::TraceDrain d = buf.read_from(0, out);
+  EXPECT_EQ(d.loss.dropped, 6u);
   ASSERT_EQ(out.size(), 4u);
   // The newest four survive, in order.
   EXPECT_EQ(out[0].timestamp, 6u);
   EXPECT_EQ(out[3].timestamp, 9u);
-  // Drain resets the loss counter.
-  EXPECT_EQ(buf.dropped_since_drain(), 0u);
+  // Loss is reported once: a read at the returned cursor sees none.
+  out.clear();
+  EXPECT_EQ(buf.read_from(d.next_seq, out).loss.dropped, 0u);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(TraceBuffer, ZeroCapacityRejected) {

@@ -492,6 +492,11 @@ TEST(MatrixDocDiff, GateFlipsAndStructuralChanges) {
   EXPECT_EQ(render_diff(os, base, flipped, 0.05), 1);
   EXPECT_NE(os.str().find("PASS -> FAIL"), std::string::npos);
 
+  MatrixDoc renamed = base;
+  renamed.scenarios[0].repeats[0].gates[0].name = "g2";
+  EXPECT_EQ(diff_count(base, renamed, 0.05), 2)
+      << "a renamed gate is one removal plus one addition";
+
   MatrixDoc missing = base;
   missing.scenarios.clear();
   EXPECT_EQ(diff_count(base, missing, 0.05), 1) << "scenario removed";

@@ -148,7 +148,7 @@ TEST_P(TraceBufferProps, PushedEqualsDrainedPlusDropped) {
   const std::size_t capacity = GetParam();
   meas::TraceBuffer buf(capacity);
   sim::Rng rng(capacity);
-  std::uint64_t pushed = 0, drained = 0, dropped = 0;
+  std::uint64_t pushed = 0, drained = 0, dropped = 0, cursor = 0;
   for (int round = 0; round < 50; ++round) {
     const std::uint64_t n = rng.next_below(2 * capacity + 5);
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -156,7 +156,9 @@ TEST_P(TraceBufferProps, PushedEqualsDrainedPlusDropped) {
       ++pushed;
     }
     std::vector<meas::TraceRecord> out;
-    dropped += buf.drain(out);
+    const meas::TraceDrain d = buf.read_from(cursor, out);
+    cursor = d.next_seq;
+    dropped += d.loss.dropped;
     drained += out.size();
     // Records come out in timestamp order.
     for (std::size_t i = 1; i < out.size(); ++i) {
@@ -211,8 +213,8 @@ TEST_P(CodecProps, BinaryAndAsciiRoundTrip) {
                       &profiles[p]});
   }
 
-  const auto bytes = meas::encode_profile(registry, 123456789, 450'000'000,
-                                          inputs);
+  const auto bytes = meas::encode_profile_delta(
+      registry, 123456789, 450'000'000, inputs, meas::ProfileCursor{}, 1);
   const auto snap = meas::decode_profile(bytes);
   const auto text = user::profile_to_ascii(snap);
   const auto back = user::profile_from_ascii(text);

@@ -49,9 +49,9 @@ struct TracedRun {
       co_await kernel::Compute{100 * kMillisecond};  // keep task alive
     }(*prof, f);
     m->launch(*t);
-    cluster.run_until(50 * kMillisecond);  // drain while the task is live
+    cluster.run_until(50 * kMillisecond);  // read while the task is live
     user::KtauHandle handle(m->proc());
-    ktrace = handle.get_trace(meas::Scope::All);
+    ktrace = handle.get_trace_incremental(meas::Scope::All);
     cluster.run();
   }
 };

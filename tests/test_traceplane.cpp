@@ -1,10 +1,10 @@
 // Tests for the cursor-based trace data plane: TraceBuffer sequence
-// cursors and typed loss, the wire-v4 incremental trace codec and its
-// compatibility with legacy v2 full-buffer reads, libKtau's trace cursor,
+// cursors and typed loss, the wire-v4 trace codec, libKtau's trace cursor,
 // the daemons' charge-only-what-shipped accounting, and the loss-aware
 // merge/export path (gap records through KTL and the timeline view).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "analysis/render.hpp"
@@ -110,11 +110,10 @@ TEST(TraceCursorBuffer, TwoReadersHoldIndependentCursors) {
   EXPECT_EQ(ca, 6u);
   EXPECT_EQ(a, b);
 
-  // Cursor reads did not disturb the legacy drain reader.
-  EXPECT_EQ(buf.unread(), 6u);
-  std::vector<meas::TraceRecord> drained;
-  EXPECT_EQ(buf.drain(drained), 0u);
-  EXPECT_EQ(drained, a);
+  // Neither read consumed anything: a third reader still sees it all.
+  std::vector<meas::TraceRecord> c;
+  EXPECT_EQ(buf.read_from(0, c).loss.dropped, 0u);
+  EXPECT_EQ(c, a);
 }
 
 TEST(TraceCursorBuffer, CursorPastEndReadsNothing) {
@@ -129,7 +128,7 @@ TEST(TraceCursorBuffer, CursorPastEndReadsNothing) {
   EXPECT_EQ(d.next_seq, 2u);
 }
 
-// -- wire v2 <-> v4 compatibility -------------------------------------------
+// -- wire v4 frames -----------------------------------------------------------
 
 MachineConfig traced_config() {
   MachineConfig cfg;
@@ -148,48 +147,68 @@ Program busy_loop(int n) {
   co_await Compute{100 * sim::kSecond};  // stay live for the reads below
 }
 
-// A live traced machine plus one v2 frame and one zero-cursor v4 frame of
-// the same state, read while the traced task is still alive (exited tasks
-// leave the kernel task table).  v4 read first: it is non-destructive.
+// A live traced machine plus two frames of the same end state, read while
+// the traced task is still alive: a zero-cursor frame (everything the
+// rings retain) and a frame read against the cursor of an earlier read
+// (only what was appended since).  Reads are non-destructive, so the
+// order does not matter.
 struct TraceSample {
   Cluster cluster;
   Machine* m = nullptr;
   std::vector<std::byte> v4;
-  std::vector<std::byte> v2;
+  std::vector<std::byte> incremental;
 
   TraceSample() {
     m = &cluster.add_machine(traced_config());
     Task& t = m->spawn("app");
     t.program = busy_loop(10);
     m->launch(t);
+    cluster.run_until(20 * kMillisecond);
+    meas::TraceCursor cursor;
+    cursor.advance(meas::decode_trace(
+        m->proc().trace_read(meas::Scope::All, {}, cursor)));
     cluster.run_until(500 * kMillisecond);
     v4 = m->proc().trace_read(meas::Scope::All, {}, meas::TraceCursor{});
-    v2 = m->proc().trace_read(meas::Scope::All);
+    incremental = m->proc().trace_read(meas::Scope::All, {}, cursor);
   }
 };
 
-TEST(TraceWireV4, ZeroCursorFrameDecodesIdenticallyToLegacyRead) {
+TEST(TraceWireV4, ZeroCursorFrameCarriesEveryRetainedRecord) {
   const TraceSample sample;
-  const auto full = meas::decode_trace(sample.v2);
-  const auto inc = meas::decode_trace(sample.v4);
+  const auto full = meas::decode_trace(sample.v4);
+  const auto inc = meas::decode_trace(sample.incremental);
 
-  EXPECT_FALSE(full.incremental);
-  EXPECT_TRUE(inc.incremental);
-  EXPECT_EQ(inc.name_base, 0u);
-
-  EXPECT_EQ(inc.timestamp, full.timestamp);
-  EXPECT_EQ(inc.cpu_freq, full.cpu_freq);
-  EXPECT_EQ(inc.events, full.events);
-  ASSERT_EQ(inc.tasks.size(), full.tasks.size());
-  for (std::size_t i = 0; i < inc.tasks.size(); ++i) {
-    EXPECT_EQ(inc.tasks[i].pid, full.tasks[i].pid);
-    EXPECT_EQ(inc.tasks[i].name, full.tasks[i].name);
-    EXPECT_EQ(inc.tasks[i].dropped, full.tasks[i].dropped);
-    EXPECT_EQ(inc.tasks[i].records, full.tasks[i].records);
-    // v4 carries the cursor framing legacy frames lack.
-    EXPECT_EQ(inc.tasks[i].base_seq, 0u);
-    EXPECT_EQ(inc.tasks[i].next_seq, inc.tasks[i].records.size());
+  EXPECT_EQ(full.name_base, 0u);
+  EXPECT_EQ(full.events.size(), sample.m->ktau().registry().size());
+  ASSERT_FALSE(full.tasks.empty());
+  for (const auto& task : full.tasks) {
+    const meas::TaskProfile* prof = sample.m->find_profile(task.pid);
+    ASSERT_NE(prof, nullptr);
+    std::vector<meas::TraceRecord> ring;
+    prof->trace()->read_from(0, ring);
+    EXPECT_EQ(task.records, ring);
+    EXPECT_EQ(task.base_seq, 0u);
+    EXPECT_EQ(task.next_seq, prof->trace()->total_pushed());
   }
+
+  // The incremental frame of the same state ships each task's suffix past
+  // the earlier cursor, and no name-table entries the cursor already held.
+  EXPECT_GT(inc.name_base, 0u);
+  bool app_suffix = false;
+  for (const auto& task : inc.tasks) {
+    const auto it = std::find_if(
+        full.tasks.begin(), full.tasks.end(),
+        [&](const meas::TaskTraceData& f) { return f.pid == task.pid; });
+    ASSERT_NE(it, full.tasks.end());
+    ASSERT_LE(task.base_seq, it->records.size());
+    app_suffix |= task.name == "app" && task.base_seq > 0;
+    EXPECT_EQ(task.next_seq, it->next_seq);
+    const std::vector<meas::TraceRecord> suffix(
+        it->records.begin() + static_cast<std::ptrdiff_t>(task.base_seq),
+        it->records.end());
+    EXPECT_EQ(task.records, suffix);
+  }
+  EXPECT_TRUE(app_suffix);
 }
 
 TEST(TraceWireV4, SecondReadShipsOnlyNewActivity) {
@@ -240,9 +259,15 @@ TEST(TraceWireV4, LossDecodesAsTypedGap) {
   }
   EXPECT_TRUE(saw_loss);
 
-  // Legacy v2 decode of the same system reports the bare count, no gaps.
-  const auto legacy = meas::decode_trace(m.proc().trace_read(meas::Scope::All));
-  for (const auto& task : legacy.tasks) EXPECT_TRUE(task.gaps.empty());
+  // Loss is reported once: a read at the frame's cursor is gapless.
+  meas::TraceCursor cursor;
+  cursor.advance(frame);
+  const auto next =
+      meas::decode_trace(m.proc().trace_read(meas::Scope::All, {}, cursor));
+  for (const auto& task : next.tasks) {
+    EXPECT_EQ(task.dropped, 0u);
+    EXPECT_TRUE(task.gaps.empty());
+  }
 }
 
 TEST(TraceWireV4, TruncationAtEveryOffsetRejectedNotCrashing) {
@@ -270,7 +295,8 @@ TEST(TraceWireV4, SeededByteFlipsNeverCrashEitherVersion) {
   const TraceSample sample;
   sim::Rng rng(0x7ACE);
   for (int iter = 0; iter < 400; ++iter) {
-    auto fuzz = iter % 2 == 0 ? sample.v4 : sample.v2;
+    // Both frame shapes: full state and an incremental frame.
+    auto fuzz = iter % 2 == 0 ? sample.v4 : sample.incremental;
     const int flips = 1 + iter % 8;
     for (int f = 0; f < flips; ++f) {
       const auto pos = rng.next_below(fuzz.size());
@@ -285,39 +311,45 @@ TEST(TraceWireV4, SeededByteFlipsNeverCrashEitherVersion) {
 
 // -- libKtau cursor + extractor accounting ----------------------------------
 
+/// Serialized size of a decoded wire-v4 trace frame, re-derived from the
+/// frame layout: header, name-table additions, per-task cursor headers and
+/// 21-byte records.
+std::uint64_t v4_wire_size(const meas::TraceSnapshot& f) {
+  std::uint64_t n = 4 + 4 + 8 + 8 + 4 + 4 + 4;  // header, table/task counts
+  for (const auto& e : f.events) n += 4 + 4 + 4 + e.name.size();
+  for (const auto& t : f.tasks) {
+    n += 4 + 4 + t.name.size() + 4 * 8 + 4 + t.records.size() * 21;
+  }
+  return n;
+}
+
 TEST(TraceDrains, KtaudChargesOnlyWhatShipped) {
-  // Two identical machines, one ktaud each; only the trace protocol
-  // differs.  Legacy accounting is the historical padded-record formula,
-  // drains accounting is the serialized frame size.
-  auto run = [](bool drains) {
-    Cluster cluster;
-    Machine& m = cluster.add_machine(traced_config());
-    Task& t = m.spawn("app");
-    t.program = busy_loop(40);
-    m.launch(t);
-    clients::KtaudConfig kcfg;
-    kcfg.period = 20 * kMillisecond;
-    kcfg.until = 300 * kMillisecond;
-    kcfg.collect_profiles = false;
-    kcfg.trace_drains = drains;
-    clients::Ktaud ktaud(m, kcfg);
-    cluster.run_until(400 * kMillisecond);
-    return std::tuple{ktaud.total_records(), ktaud.total_extract_bytes(),
-                      ktaud.total_trace_wire_bytes()};
-  };
+  // ktaud charges exactly the trace wire bytes it shipped: the serialized
+  // cursor frames (records, typed loss, name-table additions, framing).
+  Cluster cluster;
+  Machine& m = cluster.add_machine(traced_config());
+  Task& t = m.spawn("app");
+  t.program = busy_loop(40);
+  m.launch(t);
+  clients::KtaudConfig kcfg;
+  kcfg.period = 20 * kMillisecond;
+  kcfg.until = 300 * kMillisecond;
+  kcfg.collect_profiles = false;
+  clients::Ktaud ktaud(m, kcfg);
+  cluster.run_until(400 * kMillisecond);
 
-  const auto [legacy_records, legacy_bytes, legacy_wire] = run(false);
-  const auto [drain_records, drain_bytes, drain_wire] = run(true);
-
-  // Same simulation, same records captured either way (no loss at this
-  // capacity), but different accounting bases.
-  EXPECT_EQ(legacy_records, drain_records);
-  EXPECT_GT(legacy_records, 0u);
-  EXPECT_EQ(legacy_bytes, legacy_records * sizeof(meas::TraceRecord));
-  EXPECT_EQ(drain_bytes, drain_wire);
-  // The incremental frames skip clean tasks and ship the name table once,
-  // so they move fewer bytes than the legacy full-buffer frames.
-  EXPECT_LT(drain_wire, legacy_wire);
+  ASSERT_EQ(ktaud.traces().size(), ktaud.extractions());
+  std::uint64_t shipped = 0, records = 0;
+  for (const auto& frame : ktaud.traces()) {
+    shipped += v4_wire_size(frame);
+    for (const auto& task : frame.tasks) records += task.records.size();
+  }
+  EXPECT_GT(ktaud.total_records(), 0u);
+  EXPECT_EQ(ktaud.total_records(), records);
+  EXPECT_EQ(ktaud.total_extract_bytes(), shipped);
+  // Clean tasks are skipped and the name table ships once, so a steady
+  // period moves far less than the first (full) read did.
+  EXPECT_LT(ktaud.last_extract_bytes(), v4_wire_size(ktaud.traces().front()));
 }
 
 TEST(TraceDrains, HandleCursorAdvancesAndResets) {
@@ -344,7 +376,6 @@ meas::TraceSnapshot frame_with(meas::Pid pid, std::uint64_t base,
                                std::vector<meas::TraceRecord> records,
                                std::uint64_t dropped = 0) {
   meas::TraceSnapshot f;
-  f.incremental = true;
   f.timestamp = records.empty() ? 1000 : records.back().timestamp;
   f.cpu_freq = 1'000'000'000;
   f.events = {{0, meas::Group::Sched, "ev0"}, {1, meas::Group::Sched, "ev1"},
@@ -401,17 +432,16 @@ TEST(TraceMerge, CursorDiscontinuitySynthesizesGap) {
   EXPECT_EQ(t.records.size(), 4u);
 }
 
-TEST(TraceMerge, LegacyFramesMergeWithoutGaps) {
-  auto f1 = frame_with(7, 0, {rec(0), rec(1)});
-  auto f2 = frame_with(7, 0, {rec(2), rec(3)});
-  f1.incremental = f2.incremental = false;
-  f1.tasks[0].base_seq = f1.tasks[0].next_seq = 0;
-  f2.tasks[0].base_seq = f2.tasks[0].next_seq = 0;
+TEST(TraceMerge, ContiguousFramesMergeWithoutGaps) {
+  // Frame 2 starts exactly at frame 1's cursor: plain concatenation.
+  const auto f1 = frame_with(7, 0, {rec(0), rec(1)});
+  const auto f2 = frame_with(7, 2, {rec(2), rec(3)});
   const auto merged = analysis::merge_trace_frames({f1, f2});
   ASSERT_EQ(merged.tasks.size(), 1u);
   EXPECT_EQ(merged.tasks[0].records.size(), 4u);
   EXPECT_TRUE(merged.tasks[0].gaps.empty());
   EXPECT_EQ(merged.tasks[0].dropped, 0u);
+  EXPECT_EQ(merged.tasks[0].next_seq, 4u);
 }
 
 TEST(TraceExportGaps, KtlGapLinesRoundTrip) {
