@@ -103,17 +103,36 @@ TraceScaleRun run_scenario(double scale, std::size_t capacity,
   out.app_done = app.end_time;
 
   // Nothing vanishes: a zero-cursor read's shipped + counted-lost records
-  // span every record the kernel ever pushed into each ring.
+  // span every record the kernel ever pushed into each ring, live or
+  // reaped (the app has exited by now) ...
+  auto find_profile = [&m](meas::Pid pid) -> const meas::TaskProfile* {
+    if (const meas::TaskProfile* live = m.find_profile(pid)) return live;
+    for (const meas::ReapedTask& r : m.ktau().reaped()) {
+      if (r.pid == pid) return &r.profile;
+    }
+    return nullptr;
+  };
   user::KtauHandle handle(m.proc());
-  const meas::TraceSnapshot inc = handle.get_trace_incremental(meas::Scope::All);
+  const meas::TraceSnapshot inc =
+      handle.get_trace_incremental(meas::Scope::All);
   out.conservation_ok = !inc.tasks.empty();
+  std::uint64_t pushed = 0;
   for (const auto& t : inc.tasks) {
-    const meas::TaskProfile* prof = m.find_profile(t.pid);
+    const meas::TaskProfile* prof = find_profile(t.pid);
     out.conservation_ok =
         out.conservation_ok && prof != nullptr && prof->trace() != nullptr &&
         t.records.size() + t.dropped == t.next_seq &&
         t.next_seq == prof->trace()->total_pushed();
+    pushed += t.next_seq;
   }
+  // ... and so does the daemon's own stream, finished by one more read on
+  // its cursor.
+  std::uint64_t streamed = out.records + out.dropped;
+  for (const auto& t :
+       ktaud.handle().get_trace_incremental(meas::Scope::All).tasks) {
+    streamed += t.records.size() + t.dropped;
+  }
+  out.conservation_ok = out.conservation_ok && streamed == pushed;
 
   // Loss-aware merge: stitch the archived per-period frames and check the
   // typed gaps survive with the right totals.

@@ -30,9 +30,10 @@ struct AdaptdConfig {
   double imbalance_ratio = 4.0;
   std::uint64_t min_irqs = 50;
   /// Also sample trace activity each period through a cursor drain
-  /// (non-destructive: ktaud's trace collection is not disturbed).  The controller only counts records/loss — a cheap "is
-  /// anything bursting" signal — but the bytes go through the same stats
-  /// and charging as everything else.  Off by default.
+  /// (non-destructive: ktaud's trace collection is not disturbed).  The
+  /// controller only counts records/loss — a cheap "is anything bursting"
+  /// signal — but the bytes go through the same stats and charging as
+  /// everything else.  Off by default.
   bool observe_traces = false;
   /// User-space processing cost per KiB of extracted data, cycles (the
   /// same default as ktaud's).

@@ -47,7 +47,6 @@ class Extractor {
   meas::Scope scope() const {
     return pids_.empty() ? meas::Scope::All : meas::Scope::Other;
   }
-  bool delta() const { return delta_; }
 
   /// Profile extraction through the shared retry path.  The returned
   /// reference is the handle's reassembled cursor cache, holding

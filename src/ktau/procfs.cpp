@@ -60,18 +60,19 @@ bool ProcKtau::profile_read(Scope scope, std::span<const Pid> pids,
 std::vector<std::byte> ProcKtau::trace_read(Scope scope,
                                             std::span<const Pid> pids,
                                             const TraceCursor& cursor) const {
-  const auto selected = select(scope, pids, /*include_reaped=*/false);
+  const auto selected =
+      select(scope, pids, /*include_reaped=*/scope == Scope::All);
   std::vector<TaskTraceInput> inputs;
   // Read record storage must outlive encode_trace_incremental.
   std::vector<std::vector<TraceRecord>> storage;
   storage.reserve(selected.size());
   inputs.reserve(selected.size());
   for (const TaskSnapshotInput& view : selected) {
-    TaskProfile* prof = tasks_.find_profile(view.pid);
-    if (prof == nullptr || prof->trace() == nullptr) continue;
+    const TraceBuffer* ring = view.profile->trace();
+    if (ring == nullptr) continue;
     const std::uint64_t base = cursor.seq(view.pid);
     std::vector<TraceRecord> recs;
-    const TraceDrain d = prof->trace()->read_from(base, recs);
+    const TraceDrain d = ring->read_from(base, recs);
     // Skip clean tasks the reader already knows — that is where the
     // steady-state byte saving comes from.  A never-seen task ships even
     // when empty so the reader learns its cursor (and its name).

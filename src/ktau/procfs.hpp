@@ -35,7 +35,7 @@ namespace ktau::meas {
 enum class Scope {
   Self,   // the calling process only
   Other,  // an explicit pid set
-  All,    // every live process (plus reaped ones for profile reads)
+  All,    // every live process plus reaped (exited) ones
 };
 
 /// Kernel-side directory of live tasks; implemented by the simulated kernel
@@ -103,7 +103,9 @@ class ProcKtau {
   // buffers are not consumed, so any number of readers with independent
   // cursors coexist.  A task is shipped only when it has new records,
   // counted loss, or the cursor has never seen it (so a zero cursor reads
-  // everything the rings retain).
+  // everything the rings retain).  Scope::All includes reaped tasks, so
+  // the records a task pushed after the reader's last read and before it
+  // exited still ship.
   std::vector<std::byte> trace_read(Scope scope, std::span<const Pid> pids,
                                     const TraceCursor& cursor) const;
 
@@ -139,9 +141,9 @@ class ProcKtau {
   OverheadReport ctl_overhead() const;
 
  private:
-  /// Resolves the scope to the set of tasks to serialize.  Profile reads
-  /// with Scope::All also include reaped (exited) tasks so system-wide
-  /// views cover short-lived processes.
+  /// Resolves the scope to the set of tasks to serialize.  Scope::All
+  /// includes reaped (exited) tasks when `include_reaped` is set, so
+  /// system-wide reads cover short-lived processes.
   std::vector<TaskSnapshotInput> select(Scope scope, std::span<const Pid> pids,
                                         bool include_reaped) const;
 

@@ -340,15 +340,18 @@ TEST(ProcKtau, TraceRecordsAreBalancedAndOrdered) {
   cluster.run();
 
   KtauHandle handle(m.proc());
-  // Trace reads see live tasks only; read the live swapper.
+  // Scope::All trace reads cover the exited app as well as the swapper.
   const auto trace = handle.get_trace_incremental(meas::Scope::All);
+  bool has_app = false;
   for (const auto& task : trace.tasks) {
+    has_app |= task.name == "app" && !task.records.empty();
     sim::TimeNs prev = 0;
     for (const auto& rec : task.records) {
       EXPECT_GE(rec.timestamp, prev);
       prev = rec.timestamp;
     }
   }
+  EXPECT_TRUE(has_app);
 }
 
 TEST(LibKtau, AsciiRoundTripPreservesEverything) {
@@ -453,7 +456,8 @@ struct SampleBytes {
   }
 
   static std::vector<std::byte> read(Machine& m, meas::ProfileCursor cursor) {
-    const std::size_t size = m.proc().profile_size(meas::Scope::All, {}, cursor);
+    const std::size_t size =
+        m.proc().profile_size(meas::Scope::All, {}, cursor);
     std::vector<std::byte> out;
     EXPECT_TRUE(m.proc().profile_read(meas::Scope::All, {}, cursor, size, out));
     return out;

@@ -370,6 +370,49 @@ TEST(TraceDrains, HandleCursorAdvancesAndResets) {
   }
 }
 
+TEST(TraceDrains, ExitedTaskTailShipsOnNextRead) {
+  // A traced task exits between two cursor reads: its ring moves to the
+  // kernel's reaped set, and the next Scope::All read must still ship the
+  // records it pushed after the first read — loss is counted, never silent.
+  Cluster cluster;
+  Machine& m = cluster.add_machine(traced_config());
+  Task& t = m.spawn("shortlived");
+  const meas::Pid pid = t.pid;
+  t.program = [](void) -> Program {
+    for (int i = 0; i < 10; ++i) {
+      co_await Compute{5 * kMillisecond};
+      co_await kernel::NullSyscall{};
+    }
+  }();
+  m.launch(t);
+  cluster.run_until(20 * kMillisecond);
+
+  KtauHandle handle(m.proc());
+  std::uint64_t shipped = 0, dropped = 0;
+  auto read = [&] {
+    const auto frame = handle.get_trace_incremental(meas::Scope::All);
+    for (const auto& task : frame.tasks) {
+      if (task.pid != pid) continue;
+      shipped += task.records.size();
+      dropped += task.dropped;
+    }
+  };
+  read();
+  const std::uint64_t first = shipped;
+  ASSERT_GT(first, 0u);
+
+  cluster.run();  // the task finishes and is reaped
+  ASSERT_EQ(m.find_profile(pid), nullptr);
+  read();
+  EXPECT_GT(shipped, first) << "the exited task's tail never shipped";
+  const meas::TaskProfile* prof = nullptr;
+  for (const auto& r : m.ktau().reaped()) {
+    if (r.pid == pid) prof = &r.profile;
+  }
+  ASSERT_NE(prof, nullptr);
+  EXPECT_EQ(shipped + dropped, prof->trace()->total_pushed());
+}
+
 // -- loss-aware merge and export --------------------------------------------
 
 meas::TraceSnapshot frame_with(meas::Pid pid, std::uint64_t base,
