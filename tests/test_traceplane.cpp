@@ -156,7 +156,7 @@ struct TraceSample {
   Cluster cluster;
   Machine* m = nullptr;
   std::vector<std::byte> v4;
-  std::vector<std::byte> incremental;
+  std::vector<std::byte> from_cursor;
 
   TraceSample() {
     m = &cluster.add_machine(traced_config());
@@ -169,14 +169,14 @@ struct TraceSample {
         m->proc().trace_read(meas::Scope::All, {}, cursor)));
     cluster.run_until(500 * kMillisecond);
     v4 = m->proc().trace_read(meas::Scope::All, {}, meas::TraceCursor{});
-    incremental = m->proc().trace_read(meas::Scope::All, {}, cursor);
+    from_cursor = m->proc().trace_read(meas::Scope::All, {}, cursor);
   }
 };
 
 TEST(TraceWireV4, ZeroCursorFrameCarriesEveryRetainedRecord) {
   const TraceSample sample;
   const auto full = meas::decode_trace(sample.v4);
-  const auto inc = meas::decode_trace(sample.incremental);
+  const auto inc = meas::decode_trace(sample.from_cursor);
 
   EXPECT_EQ(full.name_base, 0u);
   EXPECT_EQ(full.events.size(), sample.m->ktau().registry().size());
@@ -296,7 +296,7 @@ TEST(TraceWireV4, SeededByteFlipsNeverCrashEitherVersion) {
   sim::Rng rng(0x7ACE);
   for (int iter = 0; iter < 400; ++iter) {
     // Both frame shapes: full state and an incremental frame.
-    auto fuzz = iter % 2 == 0 ? sample.v4 : sample.incremental;
+    auto fuzz = iter % 2 == 0 ? sample.v4 : sample.from_cursor;
     const int flips = 1 + iter % 8;
     for (int f = 0; f < flips; ++f) {
       const auto pos = rng.next_below(fuzz.size());
