@@ -72,7 +72,9 @@ std::vector<TrialSpec> ablation_trials(const ScenarioParams& p) {
     }
   }
 
-  // [3] probe density sweep: Base vs ProfAll exec seconds.
+  // [3] probe density sweep: Base vs ProfAll exec seconds.  A Base kernel
+  // has KTAU compiled out and never reads the density, so only the ProfAll
+  // arm sets it and the three Base trials share one run.
   for (const std::uint32_t density : kDensities) {
     for (const PerturbMode mode : {PerturbMode::Base, PerturbMode::ProfAll}) {
       ChibaRunConfig cfg;
@@ -81,13 +83,13 @@ std::vector<TrialSpec> ablation_trials(const ScenarioParams& p) {
       cfg.ranks = 16;
       cfg.scale = p.scale * 2;
       cfg.perturb = mode;
-      cfg.timer_probe_density = density;
+      if (mode == PerturbMode::ProfAll) cfg.timer_probe_density = density;
       cfg.lu_override = perturb_lu_params(16, p.scale * 2, 42);
       cfg.seed = p.seed(cfg.seed);
       trials.push_back({"density" + std::to_string(density) + "/" +
                             perturb_name(mode),
-                        [cfg] {
-                          const double sec = run_chiba(cfg).exec_sec;
+                        [p, cfg] {
+                          const double sec = p.chiba_run(cfg)->exec_sec;
                           return trial_result(sec, {{"exec_sec", sec}});
                         }});
     }

@@ -5,6 +5,8 @@
 // scenario output or the matrix document.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+
 #include "ktau/system.hpp"
 
 namespace {
@@ -55,6 +57,22 @@ void BM_ProbePairNotCompiled(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProbePairNotCompiled);
+
+// One kernel path's hidden probe pairs (DESIGN.md §3a) at the densities the
+// model charges: 4 (sched, irq), 10 (syscall, tcp), 60 (timer) and 150 (the
+// Table 3 timer density).  Items are hidden pairs, so the reported rate
+// gives host time per pair.
+void BM_HiddenPairs(benchmark::State& state) {
+  meas::KtauSystem sys(meas::KtauConfig{});
+  meas::CpuClock clock;
+  const auto pairs = static_cast<std::uint32_t>(state.range(0));
+  for (auto _ : state) {
+    sys.hidden_pairs(clock, meas::Group::Irq, pairs);
+    benchmark::DoNotOptimize(clock.cursor);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_HiddenPairs)->Arg(4)->Arg(10)->Arg(60)->Arg(150);
 
 void BM_AtomicEvent(benchmark::State& state) {
   meas::KtauSystem sys(meas::KtauConfig{});

@@ -1,5 +1,6 @@
 #include "ktau/procfs.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace ktau::meas {
@@ -24,7 +25,20 @@ std::vector<TaskSnapshotInput> ProcKtau::select(Scope scope,
     case Scope::Self:
     case Scope::Other:
       for (const Pid pid : pids) {
-        if (auto view = tasks_.find_task(pid)) selected.push_back(*view);
+        if (auto view = tasks_.find_task(pid)) {
+          selected.push_back(*view);
+        } else if (include_reaped) {
+          // Pids are never reused, so a named pid that is no longer live
+          // can only be an exited task.
+          const auto& reaped = sys_.reaped();
+          const auto it = std::find_if(
+              reaped.begin(), reaped.end(),
+              [pid](const ReapedTask& r) { return r.pid == pid; });
+          if (it != reaped.end()) {
+            selected.push_back(TaskSnapshotInput{it->pid, &it->name,
+                                                 &it->profile});
+          }
+        }
       }
       break;
   }
@@ -60,8 +74,7 @@ bool ProcKtau::profile_read(Scope scope, std::span<const Pid> pids,
 std::vector<std::byte> ProcKtau::trace_read(Scope scope,
                                             std::span<const Pid> pids,
                                             const TraceCursor& cursor) const {
-  const auto selected =
-      select(scope, pids, /*include_reaped=*/scope == Scope::All);
+  const auto selected = select(scope, pids, /*include_reaped=*/true);
   std::vector<TaskTraceInput> inputs;
   // Read record storage must outlive encode_trace_incremental.
   std::vector<std::vector<TraceRecord>> storage;

@@ -103,7 +103,8 @@ class ProcKtau {
   // buffers are not consumed, so any number of readers with independent
   // cursors coexist.  A task is shipped only when it has new records,
   // counted loss, or the cursor has never seen it (so a zero cursor reads
-  // everything the rings retain).  Scope::All includes reaped tasks, so
+  // everything the rings retain).  Every scope covers reaped tasks
+  // (Scope::All all of them, Self/Other the named pids that exited), so
   // the records a task pushed after the reader's last read and before it
   // exited still ship.
   std::vector<std::byte> trace_read(Scope scope, std::span<const Pid> pids,
@@ -141,9 +142,10 @@ class ProcKtau {
   OverheadReport ctl_overhead() const;
 
  private:
-  /// Resolves the scope to the set of tasks to serialize.  Scope::All
-  /// includes reaped (exited) tasks when `include_reaped` is set, so
-  /// system-wide reads cover short-lived processes.
+  /// Resolves the scope to the set of tasks to serialize.  With
+  /// `include_reaped` set, Scope::All also covers every reaped (exited)
+  /// task, so system-wide reads cover short-lived processes, and a named
+  /// pid that is no longer live resolves among the reaped tasks.
   std::vector<TaskSnapshotInput> select(Scope scope, std::span<const Pid> pids,
                                         bool include_reaped) const;
 

@@ -1,21 +1,60 @@
 #include "ktau/system.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace ktau::meas {
 
-KtauSystem::KtauSystem(const KtauConfig& cfg, std::uint64_t seed)
-    : cfg_(cfg), rng_(seed) {}
+namespace {
 
-double KtauSystem::draw_cost(double min, double mean) {
-  const double p = cfg_.overhead.outlier_prob;
-  const double om = cfg_.overhead.outlier_mean;
-  if (p > 0 && rng_.bernoulli(p)) {
-    return rng_.shifted_exponential(min, om);
+/// Σ -log(u_i) over a batch of exponential draws' uniforms, kept as their
+/// product so the batch costs one log.  The product is folded into a log
+/// sum before it can underflow: every u is at least 2^-53, so one more
+/// factor taken from at least 2^-900 stays a normal double.
+class NegLogSum {
+ public:
+  void add(double u) {
+    if (u <= 0.0) u = 0x1.0p-53;  // sim::Rng::exponential's log(0) guard
+    product_ *= u;
+    if (product_ < 0x1.0p-900) {
+      log_sum_ += std::log(product_);
+      product_ = 1.0;
+    }
   }
+
+  double value() const {
+    return -(product_ < 1.0 ? log_sum_ + std::log(product_) : log_sum_);
+  }
+
+ private:
+  double product_ = 1.0;
+  double log_sum_ = 0.0;
+};
+
+}  // namespace
+
+KtauSystem::CostShape KtauSystem::cost_shape(const OverheadModel& m,
+                                             double min, double mean) {
   // Keep the overall mean at `mean` despite the outlier component.
-  const double base_mean = p > 0 ? (mean - p * om) / (1.0 - p) : mean;
-  return rng_.shifted_exponential(min, std::max(base_mean, min + 1.0));
+  const double p = m.outlier_prob;
+  const double base_mean =
+      p > 0 ? (mean - p * m.outlier_mean) / (1.0 - p) : mean;
+  return {min, std::max(base_mean, min + 1.0) - min, m.outlier_mean - min};
+}
+
+KtauSystem::KtauSystem(const KtauConfig& cfg, std::uint64_t seed)
+    : cfg_(cfg),
+      start_cost_(cost_shape(cfg.overhead, cfg.overhead.start_min,
+                             cfg.overhead.start_mean)),
+      stop_cost_(cost_shape(cfg.overhead, cfg.overhead.stop_min,
+                            cfg.overhead.stop_mean)),
+      rng_(seed) {}
+
+double KtauSystem::draw_cost(const CostShape& shape) {
+  const double p = cfg_.overhead.outlier_prob;
+  const bool outlier = p > 0 && rng_.bernoulli(p);
+  return shape.min +
+         rng_.exponential(outlier ? shape.outlier_scale : shape.base_scale);
 }
 
 void KtauSystem::charge(CpuClock& clock, double cycles) {
@@ -43,8 +82,7 @@ void KtauSystem::entry(CpuClock& clock, TaskProfile* prof, EventId ev) {
       charge(clock, cfg_.overhead.trace_record_cost);
     }
   }
-  const double cost =
-      draw_cost(cfg_.overhead.start_min, cfg_.overhead.start_mean);
+  const double cost = draw_cost(start_cost_);
   start_overhead_.add(cost);
   charge(clock, cost);
 }
@@ -81,8 +119,7 @@ void KtauSystem::exit(CpuClock& clock, TaskProfile* prof, EventId ev) {
       charge(clock, cfg_.overhead.trace_record_cost);
     }
   }
-  const double cost =
-      draw_cost(cfg_.overhead.stop_min, cfg_.overhead.stop_mean);
+  const double cost = draw_cost(stop_cost_);
   stop_overhead_.add(cost);
   charge(clock, cost);
 }
@@ -113,16 +150,30 @@ void KtauSystem::hidden_pairs(CpuClock& clock, Group g, std::uint32_t pairs) {
     charge(clock, cfg_.overhead.disabled_check * pairs);
     return;
   }
+  // Read the uniforms `pairs` explicit entry/exit draws would read, in
+  // their order (start outlier test, start exponential, stop outlier test,
+  // stop exponential), so every later draw sees the same stream; each
+  // exponential lands in its mixture component's sum, and the total is the
+  // sum of the per-draw costs up to floating-point order.
+  const double p = cfg_.overhead.outlier_prob;
+  NegLogSum start_base, start_outlier, stop_base, stop_outlier;
   for (std::uint32_t i = 0; i < pairs; ++i) {
-    const double start =
-        draw_cost(cfg_.overhead.start_min, cfg_.overhead.start_mean);
-    start_overhead_.add(start);
-    charge(clock, start);
-    const double stop =
-        draw_cost(cfg_.overhead.stop_min, cfg_.overhead.stop_mean);
-    stop_overhead_.add(stop);
-    charge(clock, stop);
+    if (p > 0 && rng_.bernoulli(p)) {
+      start_outlier.add(rng_.next_double());
+    } else {
+      start_base.add(rng_.next_double());
+    }
+    if (p > 0 && rng_.bernoulli(p)) {
+      stop_outlier.add(rng_.next_double());
+    } else {
+      stop_base.add(rng_.next_double());
+    }
   }
+  charge(clock, pairs * (start_cost_.min + stop_cost_.min) +
+                    start_cost_.base_scale * start_base.value() +
+                    start_cost_.outlier_scale * start_outlier.value() +
+                    stop_cost_.base_scale * stop_base.value() +
+                    stop_cost_.outlier_scale * stop_outlier.value());
 }
 
 void KtauSystem::reap(Pid pid, std::string name, TaskProfile&& profile) {

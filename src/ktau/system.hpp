@@ -61,7 +61,11 @@ class KtauSystem {
   /// functions (a single sys_read transits dozens of KTAU instrumentation
   /// points in the real patch); hidden pairs make the *perturbation* of
   /// that instrumentation density visible (Table 3) while keeping the
-  /// event model tractable.  No-ops when the group is disabled.
+  /// event model tractable.  The pairs are one aggregated draw: it reads
+  /// the uniforms `pairs` explicit entry/exit draws would read, in their
+  /// order, charges their summed cost with one truncation to whole cycles,
+  /// and feeds no start/stop statistics (Table 4 summarises explicit
+  /// probes).  A disabled group is charged the flag checks only.
   void hidden_pairs(CpuClock& clock, Group g, std::uint32_t pairs);
 
   /// Registers (or finds) an instrumentation point.  Kernel code paths call
@@ -111,6 +115,8 @@ class KtauSystem {
 
   // -- self-measurement (Table 4) ------------------------------------------
 
+  /// Cost distributions of the explicit entry/exit probes (hidden pairs
+  /// are charged but not sampled here).
   const sim::OnlineStats& start_overhead() const { return start_overhead_; }
   const sim::OnlineStats& stop_overhead() const { return stop_overhead_; }
 
@@ -147,12 +153,23 @@ class KtauSystem {
   /// Charges `cycles` of direct measurement cost.
   void charge(CpuClock& clock, double cycles);
 
-  /// Draws one probe cost from the heavy-tailed mixture (see
-  /// OverheadModel::outlier_prob).
-  double draw_cost(double min, double mean);
+  /// One probe kind's cost mixture (OverheadModel::outlier_prob): a cost
+  /// is `min` plus an exponential of mean `base_scale`, or of mean
+  /// `outlier_scale` with the outlier probability.
+  struct CostShape {
+    double min = 0;
+    double base_scale = 0;
+    double outlier_scale = 0;
+  };
+  static CostShape cost_shape(const OverheadModel& m, double min, double mean);
+
+  /// Draws one probe cost from the heavy-tailed mixture.
+  double draw_cost(const CostShape& shape);
 
   KtauConfig cfg_;
   EventRegistry registry_;
+  CostShape start_cost_;
+  CostShape stop_cost_;
   sim::Rng rng_;
   sim::OnlineStats start_overhead_;
   sim::OnlineStats stop_overhead_;

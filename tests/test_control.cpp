@@ -1,10 +1,12 @@
 // Tests for the runtime measurement-control surface (DESIGN.md §12): the
 // seq-preserving TraceBuffer::resize, the mid-run group-mask flip pairing
-// semantics in KtauSystem::exit (both flip directions), the charged procfs
-// control writes, and the adaptd closed-loop controller.
+// semantics in KtauSystem::exit (both flip directions), the aggregated
+// hidden-pair draw (DESIGN.md §3a), the charged procfs control writes, and
+// the adaptd closed-loop controller.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "ktau/system.hpp"
 #include "ktau/trace.hpp"
 #include "libktau/libktau.hpp"
+#include "sim/rng.hpp"
 
 namespace ktau {
 namespace {
@@ -286,6 +289,136 @@ TEST(MaskFlip, OffToOnSuppressedEntryLeavesRequestsUntouched) {
   std::vector<TraceRecord> out;
   env.prof.trace()->read_from(0, out);
   EXPECT_TRUE(out.empty());
+}
+
+// -- KtauSystem::hidden_pairs: one aggregated draw ---------------------------
+
+constexpr std::uint64_t kProbeSeed = 0x5EED;
+
+// One probe cost by the per-draw formula (an outlier test, then one
+// exponential of the chosen mixture component): the reference the
+// aggregated draw must reproduce from the same uniforms.
+double reference_cost(sim::Rng& rng, const meas::OverheadModel& m, double min,
+                      double mean) {
+  const double p = m.outlier_prob;
+  if (p > 0 && rng.bernoulli(p)) {
+    return rng.shifted_exponential(min, m.outlier_mean);
+  }
+  const double base_mean =
+      p > 0 ? (mean - p * m.outlier_mean) / (1.0 - p) : mean;
+  return rng.shifted_exponential(min, std::max(base_mean, min + 1.0));
+}
+
+double reference_start(sim::Rng& rng, const meas::OverheadModel& m) {
+  return reference_cost(rng, m, m.start_min, m.start_mean);
+}
+
+// N hidden pairs charge the truncated sum of the 2N per-draw costs and
+// leave the stream where 2N explicit draws would: the next explicit entry
+// draws, bit for bit, what a fresh generator gives after skipping 4N
+// uniforms (2N without the outlier tests).
+void expect_same_stream(std::uint32_t pairs, double outlier_prob) {
+  KtauConfig cfg;
+  cfg.overhead.outlier_prob = outlier_prob;
+  const meas::OverheadModel& m = cfg.overhead;
+  KtauSystem sys(cfg, kProbeSeed);
+  meas::CpuClock clock;
+  clock.freq = 1'000'000'000;  // one cycle per nanosecond
+  const meas::EventId ev = sys.map_event("t_syscall", Group::Syscall);
+
+  sys.hidden_pairs(clock, Group::Syscall, pairs);
+  sim::Rng ref(kProbeSeed);
+  double sum = 0;
+  for (std::uint32_t i = 0; i < pairs; ++i) {
+    sum += reference_start(ref, m);
+    sum += reference_cost(ref, m, m.stop_min, m.stop_mean);
+  }
+  EXPECT_NEAR(static_cast<double>(sys.total_overhead_cycles()),
+              std::floor(sum), 1.0);
+  EXPECT_EQ(clock.cursor,
+            static_cast<sim::TimeNs>(sys.total_overhead_cycles()));
+  EXPECT_TRUE(sys.start_overhead().empty());
+  EXPECT_TRUE(sys.stop_overhead().empty());
+
+  sim::Rng next(kProbeSeed);
+  const std::uint64_t uniforms = (outlier_prob > 0 ? 4u : 2u) * pairs;
+  for (std::uint64_t i = 0; i < uniforms; ++i) next.next_u64();
+  sys.entry(clock, nullptr, ev);
+  ASSERT_EQ(sys.start_overhead().count(), 1u);
+  EXPECT_EQ(sys.start_overhead().min(), reference_start(next, m));
+}
+
+constexpr double kDefaultOutlierProb = meas::OverheadModel{}.outlier_prob;
+
+TEST(HiddenPairs, OnePairReadsTheExplicitStream) {
+  expect_same_stream(1, kDefaultOutlierProb);
+}
+
+TEST(HiddenPairs, EightPairsReadTheExplicitStream) {
+  expect_same_stream(8, kDefaultOutlierProb);
+}
+
+TEST(HiddenPairs, SixtyPairsReadTheExplicitStream) {
+  expect_same_stream(60, kDefaultOutlierProb);
+}
+
+TEST(HiddenPairs, FourHundredPairsReadTheExplicitStream) {
+  expect_same_stream(400, kDefaultOutlierProb);
+}
+
+TEST(HiddenPairs, NoOutlierTestsWithoutOutliers) {
+  expect_same_stream(8, 0.0);
+}
+
+TEST(HiddenPairs, DisabledGroupChargesFlagChecksAndDrawsNothing) {
+  KtauConfig cfg;
+  KtauSystem sys(cfg, kProbeSeed);
+  meas::CpuClock clock;
+  const meas::EventId sched_ev = sys.map_event("t_sched", Group::Sched);
+  sys.set_runtime_groups(meas::mask_of(Group::Sched));  // Syscall off
+
+  sys.hidden_pairs(clock, Group::Syscall, 8);
+  EXPECT_EQ(sys.total_overhead_cycles(),
+            static_cast<sim::Cycles>(8 * cfg.overhead.disabled_check));
+  sys.entry(clock, nullptr, sched_ev);
+  sim::Rng fresh(kProbeSeed);
+  EXPECT_EQ(sys.start_overhead().min(), reference_start(fresh, cfg.overhead));
+}
+
+TEST(HiddenPairs, ZeroPairsAndCompiledOutAreNoOps) {
+  KtauSystem sys(KtauConfig{}, kProbeSeed);
+  meas::CpuClock clock;
+  const meas::EventId ev = sys.map_event("t_syscall", Group::Syscall);
+  sys.hidden_pairs(clock, Group::Syscall, 0);
+  EXPECT_EQ(sys.total_overhead_cycles(), 0u);
+  EXPECT_EQ(clock.cursor, 0);
+  sys.entry(clock, nullptr, ev);
+  sim::Rng fresh(kProbeSeed);
+  EXPECT_EQ(sys.start_overhead().min(),
+            reference_start(fresh, KtauConfig{}.overhead));
+
+  KtauConfig off;
+  off.compiled_in = false;
+  KtauSystem base(off, kProbeSeed);
+  meas::CpuClock base_clock;
+  base.hidden_pairs(base_clock, Group::Syscall, 60);
+  EXPECT_EQ(base.total_overhead_cycles(), 0u);
+  EXPECT_EQ(base_clock.cursor, 0);
+}
+
+TEST(HiddenPairs, MillionPairsChargeTheMixtureMeans) {
+  // Long enough for every component's uniform product to be folded into
+  // its log sum many times over.
+  constexpr std::uint32_t kPairs = 1'000'000;
+  KtauConfig cfg;
+  const meas::OverheadModel& m = cfg.overhead;
+  KtauSystem sys(cfg, kProbeSeed);
+  meas::CpuClock clock;
+  sys.hidden_pairs(clock, Group::Syscall, kPairs);
+  const double charged = static_cast<double>(sys.total_overhead_cycles());
+  ASSERT_TRUE(std::isfinite(charged));
+  EXPECT_NEAR(charged, kPairs * (m.start_mean + m.stop_mean),
+              0.01 * kPairs * (m.start_mean + m.stop_mean));
 }
 
 // -- mid-run flips against a live machine (the adaptd actuator path) ---------

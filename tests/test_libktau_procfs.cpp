@@ -282,14 +282,17 @@ TEST(ProcKtau, OverheadReportTracksProbeCosts) {
   cfg.ktau.charge_overhead = true;
   Machine& m = cluster.add_machine(cfg);
   Task& t = m.spawn("app");
-  t.program = busy_loop(50);
+  // The report samples explicit probes only (hidden pairs are charged, not
+  // sampled), so the run must be long enough for the +-25-cycle bands to
+  // stay at least 4 standard errors wide.
+  t.program = busy_loop(2000);
   m.launch(t);
   cluster.run();
 
   KtauHandle handle(m.proc());
   const auto rep = handle.overhead();
-  EXPECT_GT(rep.start_count, 60u);
-  EXPECT_GT(rep.stop_count, 60u);
+  EXPECT_GT(rep.start_count, 2000u);
+  EXPECT_GT(rep.stop_count, 2000u);
   EXPECT_EQ(rep.start_count, rep.stop_count);
   // Table 4 band: start mean ~244 cycles (min 160), stop ~295 (min 214).
   EXPECT_NEAR(rep.start_mean, 244.4, 25.0);

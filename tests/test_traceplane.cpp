@@ -370,10 +370,16 @@ TEST(TraceDrains, HandleCursorAdvancesAndResets) {
   }
 }
 
-TEST(TraceDrains, ExitedTaskTailShipsOnNextRead) {
-  // A traced task exits between two cursor reads: its ring moves to the
-  // kernel's reaped set, and the next Scope::All read must still ship the
-  // records it pushed after the first read — loss is counted, never silent.
+/// What two cursor reads of one short-lived traced task saw: the first at
+/// 20 ms, the second after the task exited and was reaped.
+struct AcrossExit {
+  std::uint64_t first = 0;    // records shipped by the first read
+  std::uint64_t shipped = 0;  // records shipped by both reads
+  std::uint64_t dropped = 0;  // records counted lost by both reads
+  std::uint64_t pushed = 0;   // records the task's ring ever took
+};
+
+AcrossExit read_across_exit(meas::Scope scope) {
   Cluster cluster;
   Machine& m = cluster.add_machine(traced_config());
   Task& t = m.spawn("shortlived");
@@ -388,29 +394,48 @@ TEST(TraceDrains, ExitedTaskTailShipsOnNextRead) {
   cluster.run_until(20 * kMillisecond);
 
   KtauHandle handle(m.proc());
-  std::uint64_t shipped = 0, dropped = 0;
+  AcrossExit seen;
+  const meas::Pid named[] = {pid};  // Scope::All ignores it
   auto read = [&] {
-    const auto frame = handle.get_trace_incremental(meas::Scope::All);
+    const auto frame = handle.get_trace_incremental(scope, named);
     for (const auto& task : frame.tasks) {
       if (task.pid != pid) continue;
-      shipped += task.records.size();
-      dropped += task.dropped;
+      seen.shipped += task.records.size();
+      seen.dropped += task.dropped;
     }
   };
   read();
-  const std::uint64_t first = shipped;
-  ASSERT_GT(first, 0u);
+  seen.first = seen.shipped;
 
   cluster.run();  // the task finishes and is reaped
-  ASSERT_EQ(m.find_profile(pid), nullptr);
+  EXPECT_EQ(m.find_profile(pid), nullptr);
   read();
-  EXPECT_GT(shipped, first) << "the exited task's tail never shipped";
-  const meas::TaskProfile* prof = nullptr;
   for (const auto& r : m.ktau().reaped()) {
-    if (r.pid == pid) prof = &r.profile;
+    if (r.pid == pid) seen.pushed = r.profile.trace()->total_pushed();
   }
-  ASSERT_NE(prof, nullptr);
-  EXPECT_EQ(shipped + dropped, prof->trace()->total_pushed());
+  return seen;
+}
+
+TEST(TraceDrains, ExitedTaskTailShipsOnNextRead) {
+  // A traced task exits between two cursor reads: its ring moves to the
+  // kernel's reaped set, and the next Scope::All read must still ship the
+  // records it pushed after the first read — loss is counted, never silent.
+  const AcrossExit seen = read_across_exit(meas::Scope::All);
+  ASSERT_GT(seen.first, 0u);
+  EXPECT_GT(seen.shipped, seen.first) << "the exited task's tail never shipped";
+  ASSERT_GT(seen.pushed, 0u);
+  EXPECT_EQ(seen.shipped + seen.dropped, seen.pushed);
+}
+
+TEST(TraceDrains, ExitedTaskTailShipsOnNamedPidRead) {
+  // The same across a Scope::Other read naming the task's pid: once the
+  // task is gone the pid resolves among the reaped tasks (pids are never
+  // reused), so every record of the 10 iterations ships and none is lost.
+  const AcrossExit seen = read_across_exit(meas::Scope::Other);
+  ASSERT_GT(seen.first, 0u);
+  EXPECT_EQ(seen.pushed, 30u);
+  EXPECT_EQ(seen.shipped, 30u) << "the exited task's tail never shipped";
+  EXPECT_EQ(seen.dropped, 0u);
 }
 
 // -- loss-aware merge and export --------------------------------------------
