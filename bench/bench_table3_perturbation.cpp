@@ -26,7 +26,7 @@ constexpr int kSweepReps = 2;
 constexpr int kLuRanks = 16;
 constexpr int kSweepRanks = 128;
 
-// Historical seeds of run_perturbation_study (study seed 42): LU rep k uses
+// Historical seeds of the perturbation study (study seed 42): LU rep k uses
 // 42 + 17k, Sweep3D rep k uses 42 + 29k.
 std::vector<TrialSpec> table3_trials(const ScenarioParams& p) {
   std::vector<TrialSpec> trials;

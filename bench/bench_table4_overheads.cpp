@@ -15,8 +15,8 @@ namespace ktau::expt {
 namespace {
 
 std::vector<TrialSpec> table4_trials(const ScenarioParams& p) {
-  // Historical seed: run_perturbation_study's default seed 42 for the one
-  // fully instrumented LU run the direct-overhead numbers come from.
+  // Historical seed: the perturbation study's seed 42 for the one fully
+  // instrumented LU run the direct-overhead numbers come from.
   const auto cfg = perturb_run_config(PerturbMode::ProfAllTau, 16, p.scale,
                                       p.seed(42), Workload::LU);
   return {{"profalltau_lu", [cfg] {

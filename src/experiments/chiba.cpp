@@ -24,6 +24,11 @@ void set_default_sim_threads(int threads) {
 
 int default_sim_threads() { return g_default_sim_threads; }
 
+unsigned sim_shards(int sim_threads, int nodes) {
+  const int threads = sim_threads > 0 ? sim_threads : g_default_sim_threads;
+  return static_cast<unsigned>(std::clamp(threads, 1, nodes));
+}
+
 void set_default_stack_model(knet::StackKind kind) { g_default_stack = kind; }
 
 knet::StackKind default_stack_model() { return g_default_stack; }
@@ -140,8 +145,6 @@ BuiltRun build(const ChibaRunConfig& cfg) {
                                 "configuration");
   }
 
-  // Network config is needed up front: its link latency is the conservative
-  // lookahead the cluster's shard plan is built on.
   knet::NetConfig net;
   net.seed = cfg.seed * 777767ULL + 13;
   net.stack = cfg.stack.value_or(default_stack_model());
@@ -149,15 +152,10 @@ BuiltRun build(const ChibaRunConfig& cfg) {
     net.tcp_rcv_cache_penalty = *cfg.tcp_cache_penalty_override;
   }
 
-  // Chiba runs always use the epoched scheduler — even at one thread — so
-  // the committed event order (and hence every output byte) is the same for
+  // The committed event order (and hence every output byte) is the same for
   // any --sim-threads value; the thread count only partitions the work.
-  const int resolved =
-      cfg.sim_threads > 0 ? cfg.sim_threads : default_sim_threads();
-  const unsigned shards = static_cast<unsigned>(
-      std::clamp(resolved, 1, topo.nodes));
   run.cluster = std::make_unique<kernel::Cluster>(
-      kernel::ShardPlan{shards, net.latency});
+      kernel::ShardPlan{sim_shards(cfg.sim_threads, topo.nodes)});
   // Pre-size each shard's event pools and the cross-shard mailboxes so the
   // steady-state hot path performs no vector growth.
   run.cluster->reserve_events(16384, 1024);

@@ -63,6 +63,9 @@ std::string perturb_name(PerturbMode m);
 /// many worker threads the conservative parallel scheduler uses.
 void set_default_sim_threads(int threads);
 int default_sim_threads();
+/// Event-queue shards for a run on `nodes` nodes: `sim_threads` (0 = the
+/// process default) clamped to [1, nodes].
+unsigned sim_shards(int sim_threads, int nodes);
 
 /// Process-wide default for ChibaRunConfig::stack (what the `--stack` CLI
 /// flag sets, before any scenarios run).  Unlike --sim-threads this DOES

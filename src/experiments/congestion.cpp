@@ -163,11 +163,7 @@ CongestionResult run_congestion(const CongestionConfig& cfg) {
   net.seed = cfg.seed * 777767ULL + 29;
   net.stack = cfg.stack;
 
-  const int resolved =
-      cfg.sim_threads > 0 ? cfg.sim_threads : default_sim_threads();
-  const unsigned shards =
-      static_cast<unsigned>(std::clamp(resolved, 1, nodes));
-  Cluster cluster(kernel::ShardPlan{shards, net.latency});
+  Cluster cluster(kernel::ShardPlan{sim_shards(cfg.sim_threads, nodes)});
   cluster.reserve_events(8192, 512);
 
   const sim::FaultConfig fc = pattern_faults(cfg.pattern, cfg.seed);

@@ -413,7 +413,6 @@ int run_matrix(const MatrixOptions& opt, std::ostream& out,
       u.params.scale = opt.scale > 0 ? opt.scale : spec->default_scale;
       u.params.repeat = repeat;
       u.params.salt = salt_for(opt.seed_set, opt.seed, repeat);
-      u.params.sim_threads = opt.sim_threads;
       u.params.stack = opt.stack;
       u.params.chiba_runs = &chiba_runs;
       u.trials = spec->trials(u.params);

@@ -79,15 +79,12 @@ struct ScenarioParams {
   /// of a run without `--seed` reproduces each scenario's long-standing
   /// numbers exactly.  Any other value decorrelates the trial seeds.
   std::uint64_t salt = 0;
-  /// Simulation worker threads per trial (`--sim-threads`; conservative
-  /// parallel scheduler shard count).  Byte-identity contract: output is
-  /// identical for every value.
-  int sim_threads = 1;
-  /// TCP stack model (`--stack`; DESIGN.md §13).  Unlike sim_threads this
-  /// DOES change simulation results; the default, Fixed, reproduces the
-  /// historical behaviour byte for byte.  Scenarios that sweep models
-  /// themselves (congestion) ignore it and set ChibaRunConfig::stack
-  /// explicitly per trial.
+  /// TCP stack model (`--stack`; DESIGN.md §13).  Unlike `--sim-threads`,
+  /// which reaches runs through set_default_sim_threads, this DOES change
+  /// simulation results; the default, Fixed, reproduces the historical
+  /// behaviour byte for byte.  Scenarios that sweep models themselves
+  /// (congestion) ignore it and set ChibaRunConfig::stack explicitly per
+  /// trial.
   knet::StackKind stack = knet::StackKind::Fixed;
   /// The calling run_matrix's store; null (tests, direct callers) makes
   /// chiba_run simulate every request.  Trials may capture it: it lives

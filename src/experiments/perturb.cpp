@@ -67,55 +67,4 @@ double perturb_single_run(PerturbMode mode, int ranks, double scale,
   return result.exec_sec;
 }
 
-PerturbStudyResult run_perturbation_study(const PerturbStudyConfig& cfg) {
-  PerturbStudyResult out;
-
-  static constexpr PerturbMode kModes[] = {
-      PerturbMode::Base, PerturbMode::KtauOff, PerturbMode::ProfAll,
-      PerturbMode::ProfSched, PerturbMode::ProfAllTau};
-
-  // LU, all five configurations.
-  for (const PerturbMode mode : kModes) {
-    std::vector<double> runs;
-    for (int rep = 0; rep < cfg.repetitions; ++rep) {
-      runs.push_back(perturb_single_run(mode, cfg.lu_ranks, cfg.scale,
-                                        cfg.seed + 17 * rep, Workload::LU));
-    }
-    const auto base_it = out.lu.find(PerturbMode::Base);
-    const PerturbSummary* base =
-        base_it == out.lu.end() ? nullptr : &base_it->second;
-    out.lu[mode] = perturb_summarize(runs, base);
-  }
-
-  // Sweep3D: Base vs ProfAll+Tau (the paper reports only those two).
-  if (cfg.run_sweep) {
-    for (const PerturbMode mode :
-         {PerturbMode::Base, PerturbMode::ProfAllTau}) {
-      std::vector<double> runs;
-      for (int rep = 0; rep < cfg.sweep_repetitions; ++rep) {
-        runs.push_back(perturb_single_run(mode, cfg.sweep_ranks, cfg.scale,
-                                          cfg.seed + 29 * rep,
-                                          Workload::Sweep3D));
-      }
-      const auto base_it = out.sweep.find(PerturbMode::Base);
-      const PerturbSummary* base =
-          base_it == out.sweep.end() ? nullptr : &base_it->second;
-      out.sweep[mode] = perturb_summarize(runs, base);
-    }
-  }
-
-  // Table 4: direct overheads from one fully instrumented LU run.
-  const auto probed = run_chiba(perturb_run_config(PerturbMode::ProfAllTau,
-                                         cfg.lu_ranks, cfg.scale, cfg.seed,
-                                         Workload::LU));
-  out.start_mean = probed.overhead_start_mean;
-  out.start_stddev = probed.overhead_start_stddev;
-  out.start_min = probed.overhead_start_min;
-  out.stop_mean = probed.overhead_stop_mean;
-  out.stop_stddev = probed.overhead_stop_stddev;
-  out.stop_min = probed.overhead_stop_min;
-  out.samples = probed.overhead_samples;
-  return out;
-}
-
 }  // namespace ktau::expt

@@ -1,14 +1,15 @@
-// The perturbation study (paper §5.3, Tables 3 and 4).
+// The perturbation study (paper §5.3, Tables 3 and 4), as the pieces the
+// `table3` and `table4` scenarios split into independent trials.
 //
-// Runs NPB LU (class-C-like, 16 nodes) under five instrumentation
+// NPB LU (class-C-like, 16 nodes) runs under five instrumentation
 // configurations — Base, Ktau Off, ProfAll, ProfSched, ProfAll+Tau — with
-// several repetitions each, and reports min/avg execution times and the
-// percentage slowdown relative to Base (clamped at 0, as the paper does
-// when an instrumented run happens to beat the baseline).  Also reports
-// KTAU's direct per-probe overhead distribution (Table 4).
+// several repetitions each; perturb_summarize reports min/avg execution
+// times and the percentage slowdown relative to Base (clamped at 0, as the
+// paper does when an instrumented run happens to beat the baseline).  A
+// ProfAll+Tau run's self-measurement gives KTAU's direct per-probe
+// overhead distribution (Table 4).
 #pragma once
 
-#include <map>
 #include <vector>
 
 #include "experiments/chiba.hpp"
@@ -24,31 +25,10 @@ struct PerturbSummary {
   std::vector<double> runs_sec;
 };
 
-struct PerturbStudyResult {
-  std::map<PerturbMode, PerturbSummary> lu;     // LU 16 nodes, all 5 modes
-  std::map<PerturbMode, PerturbSummary> sweep;  // Sweep3D: Base, ProfAll+Tau
-  /// Table 4 numbers from a ProfAll+Tau LU run's self-measurement.
-  double start_mean = 0, start_stddev = 0, start_min = 0;
-  double stop_mean = 0, stop_stddev = 0, stop_min = 0;
-  std::uint64_t samples = 0;
-};
-
-struct PerturbStudyConfig {
-  int lu_ranks = 16;       // "NPB LU Class C (16 Nodes)"
-  int sweep_ranks = 128;   // "ASCI Sweep3D (128 Nodes)"
-  int repetitions = 5;     // paper: five experiments per configuration
-  int sweep_repetitions = 2;
-  double scale = 1.0;      // workload scale (1.0 ~ paper-length runs)
-  std::uint64_t seed = 42;
-  bool run_sweep = true;
-};
-
 /// The LU-16 workload definition calibrated so the Base configuration runs
 /// ~470 simulated seconds at scale 1.0 (Table 3's baseline).
 apps::LuParams perturb_lu_params(int ranks, double scale,
                                  std::uint64_t seed);
-
-PerturbStudyResult run_perturbation_study(const PerturbStudyConfig& cfg);
 
 /// Executes a single timed run; exposed for tests.
 double perturb_single_run(PerturbMode mode, int ranks, double scale,

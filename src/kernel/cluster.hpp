@@ -4,13 +4,14 @@
 // the testbed being modelled), wire a network fabric over them (src/knet),
 // spawn workloads, and run the engine.
 //
-// A Cluster built with a ShardPlan partitions its nodes round-robin across
-// S per-shard event queues and runs them with the conservative parallel
-// scheduler (sim::ShardedEngine, DESIGN.md §11).  The lookahead is the
-// fabric's one-way link latency: a node can only influence another node
-// through a link, so no cross-shard effect can land sooner than now() +
-// latency.  The default plan (1 shard, lookahead 0) is the legacy plain
-// single-queue engine, byte-identical to the pre-sharding simulator.
+// Every Cluster partitions its nodes round-robin across the ShardPlan's S
+// per-shard event queues and runs them with the conservative parallel
+// scheduler (sim::ShardedEngine, DESIGN.md §11); the default plan is one
+// shard.  The lookahead comes from the fabric: a node can only influence
+// another node through a link, so no cross-shard effect can land sooner
+// than now() + latency, and wiring a knet::Fabric lowers the lookahead to
+// its link latency.  A cluster without a fabric has no cross-node traffic,
+// so its lookahead stays unbounded.
 #pragma once
 
 #include <memory>
@@ -25,11 +26,11 @@ namespace ktau::kernel {
 
 /// How to partition a cluster's nodes across event queues.
 struct ShardPlan {
-  /// Worker shards (clamped to 1 when lookahead == 0).
+  /// Worker shards.
   unsigned shards = 1;
-  /// Conservative lookahead — must be <= the minimum cross-node link
-  /// latency (knet's Fabric validates this when it is wired up).
-  sim::TimeNs lookahead = 0;
+  /// Conservative lookahead (nonzero).  knet's Fabric lowers it to the link
+  /// latency when it is wired up.
+  sim::TimeNs lookahead = sim::kTimeMax;
 };
 
 class Cluster {
@@ -40,27 +41,26 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  /// Shard-0 engine.  In a legacy (unsharded) cluster this is THE engine;
-  /// sharded clusters use it for global setup events (workload spawns,
-  /// run-loop chunking) that must not race with per-node state.
+  /// Shard-0 engine, for global setup events (workload spawns, run-loop
+  /// chunking) that must not race with per-node state.
   sim::Engine& engine() { return sharded_.shard(0); }
 
   sim::ShardedEngine& sharded_engine() { return sharded_; }
 
-  /// True when this cluster runs under the epoch protocol (every
-  /// cross-node schedule is committed at epoch barriers, regardless of the
-  /// shard count — a sharded() cluster with 1 shard is the serial
-  /// reference ordering that `--sim-threads N` must reproduce).
-  bool sharded() const { return sharded_.epoched(); }
   unsigned shards() const { return sharded_.shards(); }
   sim::TimeNs lookahead() const { return sharded_.lookahead(); }
+  /// Lowers the lookahead to `latency` if that is smaller (the fabric does
+  /// this when it is wired).  Call between runs.
+  void lower_lookahead(sim::TimeNs latency) {
+    sharded_.lower_lookahead(latency);
+  }
 
   /// Event-queue shard owning node `id` (round-robin placement).
   unsigned shard_of(NodeId id) const { return id % sharded_.shards(); }
 
   /// Schedules `cb` at absolute time `t` on dst's shard, from code running
   /// on src's shard.  This is the only legal way to schedule onto another
-  /// node's timeline in a sharded cluster; `t` must respect the lookahead.
+  /// node's timeline; `t` must respect the lookahead.
   template <typename F>
   void cross_schedule(NodeId src, NodeId dst, sim::TimeNs t, F&& cb) {
     sharded_.cross_schedule(shard_of(src), src, shard_of(dst), t,

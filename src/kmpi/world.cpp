@@ -5,9 +5,18 @@
 
 namespace ktau::mpi {
 
+namespace {
+
+std::uint64_t chan_key(int src, int dst) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
+         static_cast<std::uint32_t>(dst);
+}
+
+}  // namespace
+
 World::World(kernel::Cluster& cluster, knet::Fabric& fabric,
              std::vector<RankPlacement> placement, std::string app_name)
-    : cluster_(cluster), fabric_(fabric), placement_(std::move(placement)) {
+    : cluster_(cluster), placement_(std::move(placement)) {
   tasks_.reserve(placement_.size());
   for (std::size_t r = 0; r < placement_.size(); ++r) {
     const RankPlacement& p = placement_[r];
@@ -16,18 +25,18 @@ World::World(kernel::Cluster& cluster, knet::Fabric& fabric,
                               p.start_delay);
     tasks_.push_back(&t);
   }
-  if (cluster_.sharded()) {
-    // Under the epoched scheduler, ranks first talk to each other from
-    // worker threads, so lazily connecting a channel on first use would (a)
-    // race on the fabric's socket tables and (b) make fd numbering depend
-    // on the execution interleaving.  Pre-wire every ordered pair during
-    // single-threaded setup, in a fixed order, so fds are identical for
-    // every shard count.
-    const int n = static_cast<int>(placement_.size());
-    for (int src = 0; src < n; ++src) {
-      for (int dst = 0; dst < n; ++dst) {
-        if (src != dst) chan(src, dst);
-      }
+  // Ranks first talk to each other from the shards' worker threads, so
+  // connecting a channel on first use would (a) race on the fabric's socket
+  // tables and (b) make fd numbering depend on the execution interleaving.
+  // Pre-wire every ordered pair during single-threaded setup, in a fixed
+  // order, so fds are identical for every shard count.
+  const int n = size();
+  for (int src = 0; src < n; ++src) {
+    for (int dst = 0; dst < n; ++dst) {
+      if (src == dst) continue;
+      chans_.emplace(chan_key(src, dst),
+                     fabric.connect(placement_[src].node,
+                                     placement_[dst].node));
     }
   }
 }
@@ -38,15 +47,8 @@ void World::launch_all() {
   }
 }
 
-const knet::Fabric::Connection& World::chan(int src, int dst) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
-      static_cast<std::uint32_t>(dst);
-  const auto it = chans_.find(key);
-  if (it != chans_.end()) return it->second;
-  const auto conn =
-      fabric_.connect(placement_.at(src).node, placement_.at(dst).node);
-  return chans_.emplace(key, conn).first->second;
+const knet::Fabric::Connection& World::chan(int src, int dst) const {
+  return chans_.at(chan_key(src, dst));
 }
 
 kernel::Action World::send(int self, int dst, std::uint64_t payload) {

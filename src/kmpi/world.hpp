@@ -84,12 +84,11 @@ class World {
   sim::TimeNs rank_exec_time(int rank) const;
 
  private:
-  /// Lazily creates the simplex channel src -> dst; returns the connection
-  /// (fd_a lives on src's node, fd_b on dst's node).
-  const knet::Fabric::Connection& chan(int src, int dst);
+  /// The pre-wired simplex channel src -> dst (fd_a lives on src's node,
+  /// fd_b on dst's node); std::out_of_range for a pair that is not one.
+  const knet::Fabric::Connection& chan(int src, int dst) const;
 
   kernel::Cluster& cluster_;
-  knet::Fabric& fabric_;
   std::vector<RankPlacement> placement_;
   std::vector<kernel::Task*> tasks_;
   std::unordered_map<std::uint64_t, knet::Fabric::Connection> chans_;

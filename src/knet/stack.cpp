@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
 
 #include "kernel/cluster.hpp"
 #include "knet/stack_model.hpp"
@@ -160,8 +159,8 @@ void NodeStack::transmit(sim::TimeNs send_time, int src_fd, const Packet& pkt,
         break;
     }
   }
-  // Cross-node delivery must go through the cluster so a sharded run can
-  // buffer it for the epoch barrier; arrival >= now + latency >= now +
+  // Cross-node delivery must go through the cluster so the run can buffer
+  // it for the epoch barrier; arrival >= now + latency >= now +
   // lookahead, which is exactly the conservative-window guarantee.
   const kernel::NodeId peer_node = socket(src_fd).peer_node;
   NodeStack& peer_stack = fabric_.stack(peer_node);
@@ -412,7 +411,7 @@ void NodeStack::emit_ack(Cpu& cpu, const Socket& sock, std::uint32_t acked) {
   ack.bytes = acked;
   ack.is_ack = true;
   // The ACK serializes on this node's NIC like any frame, then traverses
-  // the link; arrival >= now + latency >= now + lookahead, so the sharded
+  // the link; arrival >= now + latency >= now + lookahead, so the
   // lookahead contract holds for the reverse path too.
   const sim::TimeNs arrival = egress_arrival(cpu.clock.cursor, cfg_.ack_wire_bytes);
   NodeStack& peer_stack = fabric_.stack(sock.peer_node);
@@ -487,13 +486,10 @@ void NodeStack::net_rx_softirq(Cpu& cpu) {
 
 Fabric::Fabric(kernel::Cluster& cluster, NetConfig cfg, sim::FaultPlan* faults)
     : cluster_(cluster), cfg_(cfg), faults_(faults) {
-  if (cluster.sharded() && cluster.lookahead() > cfg_.latency) {
-    // The conservative scheduler's safety argument is "no cross-node effect
-    // lands sooner than one link latency"; a lookahead above the latency
-    // would let shards execute past incoming arrivals.
-    throw std::invalid_argument(
-        "knet: cluster shard lookahead exceeds the link latency");
-  }
+  // The conservative scheduler's safety argument is "no cross-node effect
+  // lands sooner than one link latency", so the link latency bounds the
+  // cluster's lookahead (a zero latency is rejected there).
+  cluster.lower_lookahead(cfg_.latency);
   stacks_.reserve(cluster.size());
   for (kernel::NodeId n = 0; n < cluster.size(); ++n) {
     stacks_.push_back(

@@ -240,9 +240,11 @@ class NodeStack final : public kernel::NetStack {
 /// Cluster-wide wiring: owns the per-node stacks and the links.
 class Fabric {
  public:
-  /// Builds a stack for every machine currently in the cluster.  `faults`
-  /// (optional, caller-owned, must outlive the fabric) enables the wire
-  /// fault hooks on every stack.
+  /// Builds a stack for every machine currently in the cluster and lowers
+  /// the cluster's lookahead to `cfg.latency` (std::invalid_argument when
+  /// it is 0).  Build it before the first run.  `faults` (optional,
+  /// caller-owned, must outlive the fabric) enables the wire fault hooks
+  /// on every stack.
   Fabric(kernel::Cluster& cluster, NetConfig cfg = {},
          sim::FaultPlan* faults = nullptr);
 

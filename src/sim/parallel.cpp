@@ -18,21 +18,30 @@ void ShardedEngine::lookahead_violation(TimeNs src_now, TimeNs t) {
       " + lookahead");
 }
 
-ShardedEngine::ShardedEngine(unsigned shards, TimeNs lookahead)
-    : lookahead_(lookahead) {
-  unsigned n = shards == 0 ? 1u : shards;
-  if (lookahead_ == 0) n = 1;  // zero-lookahead fallback: one queue
+ShardedEngine::ShardedEngine(unsigned shards, TimeNs lookahead) {
+  lower_lookahead(lookahead);  // from kTimeMax
+  const unsigned n = shards == 0 ? 1u : shards;
   engines_.reserve(n);
   for (unsigned s = 0; s < n; ++s) engines_.push_back(std::make_unique<Engine>());
   outbox_.resize(static_cast<std::size_t>(n) * n);
   mailbox_grows_.resize(n);
 }
 
+void ShardedEngine::lower_lookahead(TimeNs lookahead) {
+  // A zero lookahead makes every window empty: a run would spin at the
+  // barrier without executing anything.
+  if (lookahead == 0) {
+    throw std::invalid_argument("ShardedEngine: lookahead must be positive");
+  }
+  assert(!running_ && "ShardedEngine::lower_lookahead() called during a run");
+  lookahead_ = std::min(lookahead_, lookahead);
+}
+
 TimeNs ShardedEngine::now() const {
   // Unsynchronized scan of every shard's clock — only valid between runs
-  // (see header).  Calling this from inside an epoched run would be a data
-  // race with the worker threads.
-  assert(!running_ && "ShardedEngine::now() called during an epoched run");
+  // (see header).  Calling this from inside a run would be a data race
+  // with the worker threads.
+  assert(!running_ && "ShardedEngine::now() called during a run");
   TimeNs t = 0;
   for (const auto& e : engines_) t = std::max(t, e->now());
   return t;
@@ -132,18 +141,10 @@ void ShardedEngine::run_until(TimeNs t) {
 }
 
 void ShardedEngine::drive(bool bounded, TimeNs t) {
-  if (!epoched()) {
-    if (bounded) {
-      engines_[0]->run_until(t);
-    } else {
-      engines_[0]->run();
-    }
-    return;
-  }
   running_ = true;
   if (engines_.size() == 1) {
-    // Serial epoched mode: same windows, same barrier-point commits, no
-    // threads — the reference ordering every parallel run must reproduce.
+    // One shard: same windows, same barrier-point commits, no threads —
+    // the reference ordering every parallel run must reproduce.
     try {
       while (begin_epoch(bounded, t)) {
         engines_[0]->run_events_below(epoch_h_, epoch_inclusive_);

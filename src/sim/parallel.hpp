@@ -1,11 +1,14 @@
 // Conservative parallel discrete-event scheduler: one cluster, N shards.
 //
 // ShardedEngine owns S independent Engines (the indexed 4-ary heaps) and
-// runs them in lockstep synchronous windows.  The model that makes this
-// safe is the knet fabric: nodes interact *only* through links with a
-// nonzero one-way latency L (NetConfig::latency, 70 µs), so an event
-// executing at time t on one shard can influence another shard no earlier
-// than t + L.  Each epoch therefore:
+// runs them in lockstep synchronous windows.  Every run uses this epoch
+// protocol, whatever the shard count.  The model that makes it safe is the
+// knet fabric: nodes interact *only* through links with a nonzero one-way
+// latency L (NetConfig::latency, 70 µs), so an event executing at time t on
+// one shard can influence another shard no earlier than t + L.  A cluster
+// without a fabric has no cross-node traffic at all, so its lookahead is
+// unbounded (kTimeMax: one window per drive); wiring a fabric lowers it to
+// L.  Each epoch:
 //
 //   1. (barrier, single-threaded) commits the previous window's cross-shard
 //      messages into their destination heaps in canonical order, computes
@@ -21,9 +24,9 @@
 // shard — is committed only at the barrier, and commits are ordered by
 // (time, src_key, per-source emit order) before sequence numbers are
 // assigned.  Hence each shard's (time, seq) execution order is independent
-// of the shard count, and a 1-shard epoched run is bit-identical to an
-// 8-shard run.  The zero-lookahead edge case (L == 0) clamps to one shard
-// and plain single-queue execution — there is no safe window to parallelize.
+// of the shard count, and a 1-shard run is bit-identical to an 8-shard
+// run.  Zero lookahead is rejected: its windows would be empty, and a run
+// would spin at the barrier forever.
 //
 // Outboxes and the commit scratch are retained across epochs (clear keeps
 // capacity), so the steady-state mailbox path performs no allocation; see
@@ -48,9 +51,7 @@ namespace ktau::sim {
 class ShardedEngine {
  public:
   /// `shards` event queues with conservative lookahead `lookahead`.
-  /// lookahead == 0 forces a single shard (documented fallback): with no
-  /// minimum cross-shard delay every commit could land inside the current
-  /// window, so the only safe partition is none.
+  /// Throws std::invalid_argument when lookahead == 0.
   ShardedEngine(unsigned shards, TimeNs lookahead);
   ~ShardedEngine();
   ShardedEngine(const ShardedEngine&) = delete;
@@ -58,31 +59,31 @@ class ShardedEngine {
 
   unsigned shards() const { return static_cast<unsigned>(engines_.size()); }
   TimeNs lookahead() const { return lookahead_; }
-  /// True when runs use the epoch protocol (lookahead > 0).  A plain
-  /// ShardedEngine(1, 0) behaves exactly like a bare Engine.
-  bool epoched() const { return lookahead_ > 0; }
+  /// Lowers the lookahead to `lookahead` if that is smaller.  Call between
+  /// runs; throws std::invalid_argument when lookahead == 0.
+  void lower_lookahead(TimeNs lookahead);
 
   Engine& shard(unsigned s) { return *engines_[s]; }
   const Engine& shard(unsigned s) const { return *engines_[s]; }
 
   /// Committed global time: the farthest any shard has advanced.  All
-  /// shards agree after run_until().  Must NOT be called from inside an
-  /// epoched run — the shards' clocks advance concurrently, so reading
+  /// shards agree after run_until().  Must NOT be called from inside a
+  /// run — the shards' clocks advance concurrently, so reading
   /// them from a simulation callback is a data race (asserted).  Event
   /// code wanting the current time uses its own shard's Engine::now().
   TimeNs now() const;
 
   /// Schedules `cb` at absolute time `t` on `dst_shard` from code running
-  /// on `src_shard`.  Inside an epoched run the message is buffered and
-  /// committed at the next barrier in canonical (time, src_key, emit
-  /// order); outside a run (setup) or in plain mode it schedules directly.
+  /// on `src_shard`.  Inside a run the message is buffered and committed at
+  /// the next barrier in canonical (time, src_key, emit order); outside a
+  /// run (setup) it schedules directly.
   /// `t` must respect the lookahead: t >= src shard now() + lookahead.
   /// `src_key` canonically orders equal-time commits from different
   /// sources (callers pass the sending node id).
   template <typename F>
   void cross_schedule(unsigned src_shard, std::uint32_t src_key,
                       unsigned dst_shard, TimeNs t, F&& cb) {
-    if (!running_ || !epoched()) {
+    if (!running_) {
       engines_[dst_shard]->schedule_at(t, std::forward<F>(cb));
       return;
     }
@@ -114,7 +115,7 @@ class ShardedEngine {
   std::uint64_t pool_grows_total() const;
   /// Outbox/commit-scratch capacity growths (0 in a well-reserved run).
   std::uint64_t mailbox_grows() const;
-  /// Synchronous windows executed so far (epoched mode only).
+  /// Synchronous windows executed so far.
   std::uint64_t epochs() const { return epochs_; }
 
  private:
@@ -158,7 +159,7 @@ class ShardedEngine {
   /// by the driving thread itself).
   void epoch_loop(unsigned s);
 
-  TimeNs lookahead_ = 0;
+  TimeNs lookahead_ = kTimeMax;
   std::vector<std::unique_ptr<Engine>> engines_;
   std::vector<Outbox> outbox_;        // S*S, indexed src * S + dst
   std::vector<Msg*> scratch_;         // per-destination commit ordering
@@ -168,11 +169,11 @@ class ShardedEngine {
   bool running_ = false;
 
   // Window published by begin_epoch for the workers (synchronized by the
-  // epoch barrier; serial mode reads them directly).
+  // epoch barrier; a one-shard run reads them directly).
   TimeNs epoch_h_ = 0;
   bool epoch_inclusive_ = false;
 
-  // -- persistent worker pool (parallel epoched mode) ----------------------
+  // -- persistent worker pool (runs with more than one shard) --------------
   //
   // Callers chunk run_until() at fine granularity (chiba drives 5-sim-second
   // windows), so workers persist across drive() calls instead of being

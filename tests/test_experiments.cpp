@@ -3,6 +3,9 @@
 // experiments — all at miniature scale so the suite stays fast.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "experiments/chiba.hpp"
 #include "experiments/controlled.hpp"
 #include "experiments/perturb.hpp"
@@ -154,21 +157,34 @@ TEST(Perturbation, InstrumentationSlowsTheRunInOrder) {
 }
 
 TEST(Perturbation, StudySummariesAreConsistent) {
-  PerturbStudyConfig cfg;
-  cfg.scale = 0.03;
-  cfg.repetitions = 2;
-  cfg.run_sweep = false;
-  const auto result = run_perturbation_study(cfg);
-  ASSERT_EQ(result.lu.size(), 5u);
-  const auto& base = result.lu.at(PerturbMode::Base);
-  EXPECT_EQ(base.runs_sec.size(), 2u);
-  EXPECT_LE(base.min_sec, base.avg_sec);
-  EXPECT_DOUBLE_EQ(base.avg_slow_pct, 0.0);
+  // The table3/table4 trial split in miniature: two repetitions of every LU
+  // mode at the study's seeds, each summarised against Base.
+  std::map<PerturbMode, PerturbSummary> lu;
+  for (const PerturbMode mode :
+       {PerturbMode::Base, PerturbMode::KtauOff, PerturbMode::ProfAll,
+        PerturbMode::ProfSched, PerturbMode::ProfAllTau}) {
+    std::vector<double> runs;
+    for (int rep = 0; rep < 2; ++rep) {
+      runs.push_back(
+          perturb_single_run(mode, 16, 0.03, 42 + 17 * rep, Workload::LU));
+    }
+    const auto base = lu.find(PerturbMode::Base);
+    lu[mode] =
+        perturb_summarize(runs, base == lu.end() ? nullptr : &base->second);
+  }
+  ASSERT_EQ(lu.size(), 5u);
+  for (const auto& [mode, summary] : lu) {
+    EXPECT_EQ(summary.runs_sec.size(), 2u) << perturb_name(mode);
+    EXPECT_LE(summary.min_sec, summary.avg_sec) << perturb_name(mode);
+  }
+  EXPECT_DOUBLE_EQ(lu.at(PerturbMode::Base).avg_slow_pct, 0.0);
   // Table 4 self-measurement present and in the modelled band.
-  EXPECT_GT(result.samples, 0u);
-  EXPECT_NEAR(result.start_mean, 244.4, 20.0);
-  EXPECT_GE(result.start_min, 160.0);
-  EXPECT_NEAR(result.stop_mean, 295.3, 20.0);
+  const auto probed = run_chiba(perturb_run_config(
+      PerturbMode::ProfAllTau, 16, 0.03, 42, Workload::LU));
+  EXPECT_GT(probed.overhead_samples, 0u);
+  EXPECT_NEAR(probed.overhead_start_mean, 244.4, 20.0);
+  EXPECT_GE(probed.overhead_start_min, 160.0);
+  EXPECT_NEAR(probed.overhead_stop_mean, 295.3, 20.0);
 }
 
 TEST(Controlled, ClusterExperimentIdentifiesHogNode) {

@@ -1,7 +1,7 @@
 // Conservative parallel scheduler (sim::ShardedEngine) acceptance tests:
 // shard-count byte-identity, canonical cross-shard commit order, the
-// zero-lookahead fallback, and the TimeNs saturation regressions at the
-// epoch horizon (DESIGN.md §11).
+// lookahead the fabric sets (and the zero lookahead it rejects), and the
+// TimeNs saturation regressions at the epoch horizon (DESIGN.md §11).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,9 +9,12 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "experiments/chiba.hpp"
+#include "kernel/cluster.hpp"
+#include "knet/stack.hpp"
 #include "sim/engine.hpp"
 #include "sim/parallel.hpp"
 #include "sim/time.hpp"
@@ -139,24 +142,76 @@ TEST(ParallelSim, SameShardCrossSendsAlsoCommitAtTheBarrier) {
 }
 
 // ---------------------------------------------------------------------------
-// Zero-lookahead fallback.
+// Lookahead: positive, and set by the fabric.
 // ---------------------------------------------------------------------------
 
-TEST(ParallelSim, ZeroLookaheadClampsToOnePlainShard) {
-  ShardedEngine se(8, 0);
-  EXPECT_EQ(se.shards(), 1u);
-  EXPECT_FALSE(se.epoched());
-  int count = 0;
-  se.shard(0).schedule_at(5, [&] { ++count; });
-  se.shard(0).schedule_at(5, [&] {
-    // Cross-scheduling in plain mode is a direct schedule (no mailbox, no
-    // lookahead constraint) — the legacy single-queue behaviour.
-    se.cross_schedule(0, 0, 0, 5, [&] { ++count; });
-  });
-  se.run();
-  EXPECT_EQ(count, 2);
-  EXPECT_EQ(se.epochs(), 0u);
-  EXPECT_EQ(se.executed_total(), 3u);
+TEST(ParallelSim, ZeroLookaheadThrows) {
+  // An empty window would spin at the barrier forever.
+  EXPECT_THROW(ShardedEngine se(8, 0), std::invalid_argument);
+  kernel::Cluster cluster;
+  cluster.add_machine(kernel::MachineConfig{});
+  knet::NetConfig net;
+  net.latency = 0;
+  EXPECT_THROW(knet::Fabric fabric(cluster, net), std::invalid_argument);
+}
+
+kernel::Program ping(int fd, int rounds) {
+  for (int i = 0; i < rounds; ++i) {
+    co_await kernel::SendMsg{fd, 4096};
+    co_await kernel::RecvMsg{fd, 4096};
+  }
+}
+
+kernel::Program pong(int fd, int rounds) {
+  for (int i = 0; i < rounds; ++i) {
+    co_await kernel::RecvMsg{fd, 4096};
+    co_await kernel::SendMsg{fd, 4096};
+  }
+}
+
+// A 2-node ping-pong; returns (ping end, pong end, events, epochs).
+std::tuple<TimeNs, TimeNs, std::uint64_t, std::uint64_t> exchange_fingerprint(
+    const kernel::ShardPlan& plan) {
+  knet::NetConfig net;
+  net.latency_jitter_mean = 0;
+  kernel::Cluster cluster(plan);
+  kernel::Machine& a = cluster.add_machine(kernel::MachineConfig{});
+  kernel::Machine& b = cluster.add_machine(kernel::MachineConfig{});
+  knet::Fabric fabric(cluster, net);
+  EXPECT_EQ(cluster.lookahead(), net.latency);
+  const auto conn = fabric.connect(0, 1);
+  kernel::Task& tx = a.spawn("ping");
+  tx.program = ping(conn.fd_a, 20);
+  kernel::Task& rx = b.spawn("pong");
+  rx.program = pong(conn.fd_b, 20);
+  a.launch(tx);
+  b.launch(rx);
+  cluster.run();
+  EXPECT_TRUE(tx.exited);
+  EXPECT_TRUE(rx.exited);
+  return {tx.end_time, rx.end_time, cluster.executed_total(),
+          cluster.sharded_engine().epochs()};
+}
+
+TEST(ParallelSim, FabricLowersTheLookaheadToTheLinkLatency) {
+  const knet::NetConfig net;
+  kernel::Cluster plain;
+  plain.add_machine(kernel::MachineConfig{});
+  // No fabric, no cross-node traffic: the lookahead is unbounded.
+  EXPECT_EQ(plain.lookahead(), sim::kTimeMax);
+  knet::Fabric plain_fabric(plain, net);
+  EXPECT_EQ(plain.lookahead(), net.latency);
+
+  kernel::Cluster wide(kernel::ShardPlan{2, 10 * net.latency});
+  wide.add_machine(kernel::MachineConfig{});
+  knet::Fabric wide_fabric(wide, net);
+  EXPECT_EQ(wide.lookahead(), net.latency);
+
+  // Every cluster with a fabric commits cross-node sends through epochs,
+  // identically for every shard count.
+  const auto one = exchange_fingerprint(kernel::ShardPlan{1});
+  EXPECT_GT(std::get<3>(one), 0u);
+  EXPECT_EQ(exchange_fingerprint(kernel::ShardPlan{2}), one);
 }
 
 // ---------------------------------------------------------------------------
