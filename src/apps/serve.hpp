@@ -11,7 +11,7 @@
 // entered while the tag is live — the response send path, IRQs and softirqs
 // that interrupt the service burst, the scheduler-wait frames of a
 // preempted reactor — accumulates under (tag, event) in the profile's
-// requests() map, which is what lets analysis decompose one slow request
+// requests() rows, which is what lets analysis decompose one slow request
 // into named kernel paths.  The receive of request N happens *before* its
 // tag exists (the reactor is blocked in sys_poll with the previous request
 // finished), so poll/read wait time is deliberately untagged: a request's

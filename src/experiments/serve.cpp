@@ -4,7 +4,9 @@
 #include <cmath>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -25,6 +27,11 @@ using kernel::Task;
 
 /// Client nodes fanning requests into the server (node 0).
 constexpr int kClientNodes = 4;
+
+/// Reactor i tags its nth request (i << kReactorTagBits) + n + 1, so tags
+/// stay unique across reactors while none serves more than
+/// 2^kReactorTagBits requests.
+constexpr int kReactorTagBits = 20;
 
 struct Load {
   int conns;                 // connections, round-robin over client nodes
@@ -86,6 +93,22 @@ std::string serve_mode_name(ServeMode m) {
 ServeResult run_serve(const ServeConfig& cfg) {
   const int nodes = 1 + kClientNodes;
   const Load load = serve_load(cfg);
+  const int server_cpus = std::max(1, cfg.server_cpus);
+
+  // Connections go round-robin over the reactors, so reactor 0 is offered
+  // the most requests.  Past 2^kReactorTagBits it would reuse reactor 1's
+  // tags, and the harvest would merge two requests' kernel paths.
+  const std::uint64_t busiest_reactor =
+      static_cast<std::uint64_t>((load.conns + server_cpus - 1) /
+                                 server_cpus) *
+      load.per_conn;
+  if (busiest_reactor > (std::uint64_t{1} << kReactorTagBits)) {
+    throw std::invalid_argument(
+        "run_serve: " + std::to_string(busiest_reactor) +
+        " requests for one reactor overflow its " +
+        std::to_string(std::uint64_t{1} << kReactorTagBits) +
+        " request tags");
+  }
 
   knet::NetConfig net;
   net.seed = cfg.seed * 777767ULL + 101;
@@ -101,7 +124,6 @@ ServeResult run_serve(const ServeConfig& cfg) {
         fc, static_cast<std::uint32_t>(nodes));
   }
 
-  const int server_cpus = std::max(1, cfg.server_cpus);
   for (int n = 0; n < nodes; ++n) {
     MachineConfig mc;
     mc.name = n == 0 ? "srv" : "cli" + std::to_string(n);
@@ -158,7 +180,7 @@ ServeResult run_serve(const ServeConfig& cfg) {
     reactors.push_back(&apps::spawn_reactor(
         cluster.machine(0), reactor_fds[i], shape,
         cfg.seed * 31337ULL + static_cast<std::uint64_t>(i),
-        static_cast<std::uint32_t>(i) << 20, serve_logs[i],
+        static_cast<std::uint32_t>(i) << kReactorTagBits, serve_logs[i],
         kernel::cpu_bit(static_cast<kernel::CpuId>(i)),
         "reactor" + std::to_string(i)));
   }
@@ -198,26 +220,54 @@ ServeResult run_serve(const ServeConfig& cfg) {
   }
 
   // -- per-request kernel attribution ---------------------------------------
-  // Tags are globally unique across reactors, so the live profiles' tagged
-  // (tag, event) metrics fold into one tag-keyed table.  Path lists are
-  // sorted by name: FlatKeyMap iteration order is an implementation detail.
+  // Tags are unique across reactors, so every reactor's (tag, event) rows
+  // go into one vector, sorted once by (tag, name rank, seconds).  Ranks
+  // order the registry's names, so each request's rows come out in
+  // (name, seconds) order whatever order the profiles recorded them in.
   Machine& srv = cluster.machine(0);
+  const meas::EventRegistry& registry = srv.ktau().registry();
   const double freq = static_cast<double>(srv.config().freq);
-  std::map<std::uint32_t,
-           std::vector<std::pair<std::string, double>>> tag_paths;
-  std::map<std::string, bool> path_is_interrupt;
+  std::vector<meas::EventId> by_name(registry.size());
+  std::iota(by_name.begin(), by_name.end(), meas::EventId{0});
+  std::sort(by_name.begin(), by_name.end(),
+            [&registry](meas::EventId a, meas::EventId b) {
+              return registry.info(a).name < registry.info(b).name;
+            });
+  std::vector<std::uint32_t> name_rank(registry.size());
+  for (std::size_t r = 0; r < by_name.size(); ++r) {
+    name_rank[by_name[r]] = static_cast<std::uint32_t>(r);
+  }
+
+  struct TagRow {
+    std::uint64_t tag_rank;  // tag << 32 | name rank
+    double sec;
+  };
+  std::size_t row_count = 0;
+  for (const Task* t : reactors) row_count += t->prof.requests().size();
+  std::vector<TagRow> tag_rows;
+  tag_rows.reserve(row_count);
+  std::vector<char> tagged_event(registry.size(), 0);
   for (const Task* t : reactors) {
     for (const auto& [key, m] : t->prof.requests()) {
-      const auto tag = static_cast<std::uint32_t>(key >> 32);
       const auto ev = static_cast<meas::EventId>(key & 0xFFFFFFFFu);
-      const meas::EventInfo& info = srv.ktau().info(ev);
-      const double sec = static_cast<double>(m.excl) / freq;
-      tag_paths[tag].emplace_back(info.name, sec);
-      path_is_interrupt[info.name] = info.group == meas::Group::Irq ||
-                                     info.group == meas::Group::BottomHalf;
+      tag_rows.push_back(TagRow{(key & 0xFFFFFFFF00000000u) | name_rank[ev],
+                                static_cast<double>(m.excl) / freq});
+      tagged_event[ev] = 1;
     }
   }
-  for (auto& [tag, paths] : tag_paths) std::sort(paths.begin(), paths.end());
+  std::sort(tag_rows.begin(), tag_rows.end(),
+            [](const TagRow& a, const TagRow& b) {
+              return a.tag_rank != b.tag_rank ? a.tag_rank < b.tag_rank
+                                              : a.sec < b.sec;
+            });
+  std::map<std::string, bool> path_is_interrupt;
+  for (std::size_t ev = 0; ev < tagged_event.size(); ++ev) {
+    if (tagged_event[ev] == 0) continue;
+    const meas::EventInfo& info =
+        registry.info(static_cast<meas::EventId>(ev));
+    path_is_interrupt[info.name] = info.group == meas::Group::Irq ||
+                                   info.group == meas::Group::BottomHalf;
+  }
 
   // Join server records to client-observed latency: responses on one
   // connection are FIFO, so server sequence n on a connection pairs with
@@ -234,12 +284,22 @@ ServeResult run_serve(const ServeConfig& cfg) {
       analysis::RequestSample s;
       s.latency_sec =
           static_cast<double>(cr.completed - cr.scheduled) / sim::kSecond;
-      double kernel_sec = 0;
-      if (const auto it = tag_paths.find(sr.tag); it != tag_paths.end()) {
-        s.paths = it->second;
-        for (const auto& [name, sec] : s.paths) kernel_sec += sec;
-        ++out.tagged_requests;
+      const auto first = std::lower_bound(
+          tag_rows.cbegin(), tag_rows.cend(), std::uint64_t{sr.tag} << 32,
+          [](const TagRow& r, std::uint64_t k) { return r.tag_rank < k; });
+      auto last = first;
+      while (last != tag_rows.cend() && (last->tag_rank >> 32) == sr.tag) {
+        ++last;
       }
+      s.paths.reserve(static_cast<std::size_t>(last - first) + 2);
+      double kernel_sec = 0;
+      for (auto row = first; row != last; ++row) {
+        s.paths.emplace_back(
+            registry.info(by_name[row->tag_rank & 0xFFFFFFFFu]).name,
+            row->sec);
+        kernel_sec += row->sec;
+      }
+      if (first != last) ++out.tagged_requests;
       out.tagged_kernel_sec += kernel_sec;
       const double window =
           static_cast<double>(sr.done - sr.picked_up) / sim::kSecond;

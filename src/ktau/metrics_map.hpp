@@ -1,6 +1,7 @@
 // Open-addressing flat map from packed (event, event) u64 keys to
 // EventMetrics, used for the user-context bridge matrix and call-path
-// edges in TaskProfile.
+// edges in TaskProfile; TaskProfile also keys one by request tag to find
+// the head of each request's row chain.
 //
 // These maps sit on the KTAU probe hot path: every instrumented exit with
 // an active user context (and, with call-path profiling, every exit) does
@@ -13,8 +14,8 @@
 //
 // Key restriction: the packed key 0xFFFFFFFFFFFFFFFF is reserved as the
 // empty-slot sentinel.  It cannot occur in practice: the bridge writes
-// only while user context != kNoEventId (0xFFFFFFFF), and call-path
-// parents use kCallpathRoot (0xFFFFFFFE).
+// only while user context != kNoEventId (0xFFFFFFFF), call-path parents
+// use kCallpathRoot (0xFFFFFFFE), and request tags are 32-bit keys.
 #pragma once
 
 #include <cassert>

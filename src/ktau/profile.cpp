@@ -45,6 +45,17 @@ EventMetrics& TaskProfile::slot(EventId ev) {
   return events_[ev];
 }
 
+EventMetrics& TaskProfile::request_row(std::uint64_t key) {
+  std::uint32_t& head = request_head_[key >> 32];
+  for (std::uint32_t row = head; row != 0; row = request_next_[row - 1]) {
+    if (requests_[row - 1].first == key) return requests_[row - 1].second;
+  }
+  request_next_.push_back(head);
+  requests_.emplace_back(key, EventMetrics{});
+  head = static_cast<std::uint32_t>(requests_.size());
+  return requests_.back().second;
+}
+
 void TaskProfile::entry(EventId ev, sim::Cycles now) {
   stack_.push_back(Frame{ev, now, 0, request_tag_});
 }
@@ -86,7 +97,7 @@ sim::Cycles TaskProfile::exit(EventId ev, sim::Cycles now) {
   }
   last_closed_tag_ = frame.tag;
   if (frame.tag != 0) {
-    EventMetrics& r = requests_[bridge_key(frame.tag, ev)];
+    EventMetrics& r = request_row(bridge_key(frame.tag, ev));
     ++r.count;
     r.incl += incl;
     r.excl += excl;
@@ -119,7 +130,7 @@ void TaskProfile::merge(const TaskProfile& other) {
   for (const auto& [ev, am] : other.atomics_) atomics_[ev].merge(am);
   for (const auto& [key, m] : other.bridge_) bridge_[key].merge(m);
   for (const auto& [key, m] : other.edges_) edges_[key].merge(m);
-  for (const auto& [key, m] : other.requests_) requests_[key].merge(m);
+  for (const auto& [key, m] : other.requests_) request_row(key).merge(m);
   callpath_ = callpath_ || other.callpath_;
   dirty_epoch_ = std::max(dirty_epoch_, other.dirty_epoch_);
 }

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ktau/events.hpp"
@@ -64,6 +65,9 @@ constexpr std::uint64_t bridge_key(EventId user_ev, EventId kernel_ev) {
 
 /// Probe-hot-path map type for the bridge matrix and call-path edges.
 using MetricsMap = FlatKeyMap<EventMetrics>;
+
+/// Per-request rows: (request tag << 32 | kernel event, metrics).
+using RequestRows = std::vector<std::pair<std::uint64_t, EventMetrics>>;
 
 /// Parent id used for call-path edges of events entered at stack depth 0.
 inline constexpr EventId kCallpathRoot = 0xFFFFFFFEu;
@@ -145,9 +149,10 @@ class TaskProfile {
   /// this right after exit() to stamp the trace Exit record.
   std::uint32_t last_closed_tag() const { return last_closed_tag_; }
 
-  /// (request tag << 32 | kernel event) -> metrics of kernel activations
-  /// whose entry fired while that request was in flight.
-  const MetricsMap& requests() const { return requests_; }
+  /// One row per (request tag << 32 | kernel event), in first-touch order:
+  /// metrics of kernel activations whose entry fired while that request
+  /// was in flight.
+  const RequestRows& requests() const { return requests_; }
 
   // -- call-path profiling (paper §6 future work: "merged user-kernel
   //    call-graph profiles") -----------------------------------------------
@@ -179,6 +184,7 @@ class TaskProfile {
   };
 
   EventMetrics& slot(EventId ev);
+  EventMetrics& request_row(std::uint64_t key);
 
   /// Epoch source for unbound profiles: a constant 1, so rows are always
   /// newer than the "never extracted" cursor (epoch 0) yet need no branch
@@ -194,7 +200,13 @@ class TaskProfile {
   EventId user_context_ = kNoEventId;
   std::uint32_t request_tag_ = 0;
   std::uint32_t last_closed_tag_ = 0;
-  MetricsMap requests_;
+  // Request rows are found through a per-tag chain: a request touches a
+  // handful of events, mostly in adjacent rows, so its exits hit the head
+  // map's one-entry cache and walk a short chain, and the hash holds one
+  // slot per request.  Both links store a row index + 1; 0 ends the chain.
+  RequestRows requests_;
+  std::vector<std::uint32_t> request_next_;  // row -> older row, same tag
+  FlatKeyMap<std::uint32_t> request_head_;   // tag -> newest row
   std::unique_ptr<TraceBuffer> trace_;
   const std::uint64_t* epoch_src_ = &kUnboundEpoch;
   std::uint64_t dirty_epoch_ = 0;

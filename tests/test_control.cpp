@@ -259,9 +259,11 @@ TEST(MaskFlip, OnToOffForceCloseKeepsRequestTag) {
 
   // The force-closed frame credited its cycles to tag 7.
   EXPECT_EQ(env.prof.last_closed_tag(), 7u);
-  const auto it =
-      env.prof.requests().find(meas::bridge_key(7, env.sys_ev));
-  ASSERT_NE(it, env.prof.requests().end());
+  const auto& rows = env.prof.requests();
+  const auto it = std::find_if(rows.begin(), rows.end(), [&](const auto& r) {
+    return r.first == meas::bridge_key(7, env.sys_ev);
+  });
+  ASSERT_NE(it, rows.end());
   EXPECT_EQ(it->second.count, 1u);
   // Both trace records carry the tag, Entry and force-closed Exit alike.
   std::vector<TraceRecord> out;

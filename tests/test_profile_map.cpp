@@ -1,7 +1,8 @@
 // FlatKeyMap unit tests and TaskProfile edge cases for the probe-hot-path
-// flat maps (bridge matrix + call-path edges): growth across rehashes,
-// collision chains, deep nesting, merges of disjoint key sets, and
-// callpath-on/off parity of the flat profile.
+// flat maps (bridge matrix + call-path edges) and the tag-chained request
+// rows: growth across rehashes, collision chains, deep nesting, merges of
+// disjoint and overlapping key sets, frames that outlive their request,
+// and callpath-on/off parity of the flat profile.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -117,12 +118,14 @@ TEST(ProfileMap, MergeOfDisjointKeySets) {
   TaskProfile a;
   a.enable_callpath(true);
   a.set_user_context(100);
+  a.set_request_tag(5);
   a.entry(1, 0);
   a.exit(1, 10);
 
   TaskProfile b;
   b.enable_callpath(true);
   b.set_user_context(200);
+  b.set_request_tag(6);
   b.entry(2, 0);
   b.exit(2, 30);
 
@@ -137,16 +140,39 @@ TEST(ProfileMap, MergeOfDisjointKeySets) {
   // Disjoint call-path edges both present.
   EXPECT_EQ(a.edges().at(bridge_key(kCallpathRoot, 1)).count, 1u);
   EXPECT_EQ(a.edges().at(bridge_key(kCallpathRoot, 2)).count, 1u);
+  // Disjoint request rows: a's own row, then b's appended after it.
+  ASSERT_EQ(a.requests().size(), 2u);
+  EXPECT_EQ(a.requests()[0].first, bridge_key(5, 1));
+  EXPECT_EQ(a.requests()[0].second.count, 1u);
+  EXPECT_EQ(a.requests()[0].second.incl, 10u);
+  EXPECT_EQ(a.requests()[0].second.excl, 10u);
+  EXPECT_EQ(a.requests()[1].first, bridge_key(6, 2));
+  EXPECT_EQ(a.requests()[1].second.count, 1u);
+  EXPECT_EQ(a.requests()[1].second.incl, 30u);
+  EXPECT_EQ(a.requests()[1].second.excl, 30u);
+  // The merged row joined tag 6's chain: a later exit finds it.
+  a.set_request_tag(6);
+  a.entry(2, 40);
+  a.exit(2, 45);
+  ASSERT_EQ(a.requests().size(), 2u);
+  EXPECT_EQ(a.requests()[1].second.count, 2u);
+  EXPECT_EQ(a.requests()[1].second.incl, 35u);
 }
 
 TEST(ProfileMap, MergeOfOverlappingKeysAccumulates) {
+  const std::uint64_t epoch_a = 4;
+  const std::uint64_t epoch_b = 2;
   TaskProfile a;
+  a.bind_epoch(&epoch_a);
   a.set_user_context(100);
+  a.set_request_tag(5);
   a.entry(1, 0);
   a.exit(1, 10);
 
   TaskProfile b;
+  b.bind_epoch(&epoch_b);
   b.set_user_context(100);
+  b.set_request_tag(5);
   b.entry(1, 0);
   b.exit(1, 25);
 
@@ -157,6 +183,53 @@ TEST(ProfileMap, MergeOfOverlappingKeysAccumulates) {
   EXPECT_EQ(row.count, 2u);
   EXPECT_EQ(row.incl, 35u);
   EXPECT_EQ(a.bridge().size(), 1u);
+  // One request row: counts and cycles summed, epoch the newer of the two
+  // (not the last writer's).
+  ASSERT_EQ(a.requests().size(), 1u);
+  const auto& [key, req] = a.requests()[0];
+  EXPECT_EQ(key, bridge_key(5, 1));
+  EXPECT_EQ(req.count, 2u);
+  EXPECT_EQ(req.incl, 35u);
+  EXPECT_EQ(req.excl, 35u);
+  EXPECT_EQ(req.epoch, 4u);
+}
+
+TEST(ProfileMap, StragglerFrameCreditsTheTagItEnteredUnder) {
+  // A frame entered under request 5 is still open while request 6's
+  // frames open and close inside it.  It closes into the existing (5, 1)
+  // row, and request 6's later exits find their rows through tag 6's
+  // chain, past the interleaved tag-5 row.
+  TaskProfile p;
+  p.set_request_tag(5);
+  p.entry(1, 0);
+  p.exit(1, 5);   // row 0: (5, 1)
+  p.entry(1, 5);  // the straggler
+  p.set_request_tag(6);
+  p.entry(2, 10);
+  p.exit(2, 20);  // row 1: (6, 2)
+  p.entry(1, 20);
+  p.exit(1, 30);  // row 2: (6, 1)
+  p.exit(1, 40);  // the straggler: 35 cycles, 15 of them its own
+  EXPECT_EQ(p.last_closed_tag(), 5u);
+  p.entry(1, 40);
+  p.exit(1, 45);  // second (6, 1) exit: the head of tag 6's chain
+  p.entry(2, 45);
+  p.exit(2, 50);  // second (6, 2) exit: one link down the chain
+
+  const RequestRows& rows = p.requests();
+  ASSERT_EQ(rows.size(), 3u);  // one row per key, in first-touch order
+  EXPECT_EQ(rows[0].first, bridge_key(5, 1));
+  EXPECT_EQ(rows[0].second.count, 2u);
+  EXPECT_EQ(rows[0].second.incl, 40u);
+  EXPECT_EQ(rows[0].second.excl, 20u);
+  EXPECT_EQ(rows[1].first, bridge_key(6, 2));
+  EXPECT_EQ(rows[1].second.count, 2u);
+  EXPECT_EQ(rows[1].second.incl, 15u);
+  EXPECT_EQ(rows[1].second.excl, 15u);
+  EXPECT_EQ(rows[2].first, bridge_key(6, 1));
+  EXPECT_EQ(rows[2].second.count, 2u);
+  EXPECT_EQ(rows[2].second.incl, 15u);
+  EXPECT_EQ(rows[2].second.excl, 15u);
 }
 
 TEST(ProfileMap, CallpathOnOffFlatProfileParity) {

@@ -1,11 +1,13 @@
 // Serving workload tests: the RecvAny (sys_poll) multiplexing primitive,
-// per-request probe tagging into TaskProfile::requests(), and the serve
-// experiment's determinism across scheduler shard counts.
+// per-request probe tagging into TaskProfile::requests(), the serve
+// experiment's determinism across scheduler shard counts, and its refusal
+// of loads whose reactor tag ranges would overlap.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "apps/serve.hpp"
@@ -164,6 +166,18 @@ TEST(ServeApp, ReactorTagsEveryRequestIntoTheProfile) {
   EXPECT_EQ(tagged, tags);
   // The tag is cleared between requests: the profile's live tag is 0 now.
   EXPECT_EQ(reactor.prof.request_tag(), 0u);
+}
+
+TEST(ServeExperiment, RejectsLoadsThatOverflowAReactorsTags) {
+  // Open loop on 2 CPUs offers each reactor 4 connections x 600 x scale
+  // requests.  At scale 437 that is 1 048 800 > 2^20, so reactor 0's tags
+  // would run into reactor 1's: the load is refused before anything is
+  // built or simulated.
+  expt::ServeConfig cfg;
+  cfg.mode = expt::ServeMode::Open;
+  cfg.server_cpus = 2;
+  cfg.scale = 437;
+  EXPECT_THROW(expt::run_serve(cfg), std::invalid_argument);
 }
 
 TEST(ServeExperiment, ByteIdenticalAcrossSimThreads) {
