@@ -1,27 +1,24 @@
-// Engine hot-path microbenchmark (no paper table/figure — simulator
-// infrastructure).
+// Engine scenarios (no paper table/figure — simulator infrastructure).
 //
-// Drives synthetic schedule/cancel/fire mixes and a real workload replay
-// through two engines:
-//   - LegacyEngine: a faithful copy of the seed implementation
-//     (std::vector + std::push_heap, std::function callbacks, tombstone
-//     unordered_set for cancellation);
-//   - sim::Engine: the indexed 4-ary heap with generation-tagged slots and
-//     InlineCallback small-buffer callbacks.
-// Both run the *identical* deterministic operation sequence.  The
-// deterministic scenario output asserts legacy/fast equivalence (same
-// executed counts and the same callback side effects, bit for bit); the
-// host ns/event timings and the speedup are inherently machine-dependent
-// and therefore go to stderr only — they never enter the byte-identity
-// contract or the JSON document.
+// `engine` drives sim::Engine once through each of four synthetic
+// schedule/cancel/fire mixes, then replays a miniature Chiba run through
+// the full simulated stack.  Each mix's gate is a conservation law its
+// drive function counts: every scheduled event executed, was cancelled, or
+// is still pending.  Every cancel targets its own work event's guard, which
+// is strictly later, so each issued cancel must take effect.  The executed
+// counts and the callback sinks are metrics that BENCH_budgets pins
+// exactly; the event-order reference is Engine.StressMatchesReferenceModel
+// in tests/test_sim_engine.cpp.  The harness's per-trial stderr line is the
+// only host timing.
+//
+// `engine_scale` runs the conservative parallel scheduler on a synthetic
+// ring cluster across a fixed shard sweep (see below).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <ostream>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "experiments/harness.hpp"
@@ -36,83 +33,6 @@ using sim::EventId;
 using sim::TimeNs;
 
 // ---------------------------------------------------------------------------
-// The seed engine, verbatim (kept here as the permanent baseline).
-// ---------------------------------------------------------------------------
-class LegacyEngine {
- public:
-  using Callback = std::function<void()>;
-
-  TimeNs now() const { return now_; }
-
-  EventId schedule_at(TimeNs t, Callback cb) {
-    const EventId id = next_id_++;
-    heap_.push_back(Record{std::max(t, now_), id, std::move(cb)});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-    return id;
-  }
-
-  EventId schedule_after(TimeNs dt, Callback cb) {
-    return schedule_at(now_ + dt, std::move(cb));
-  }
-
-  void cancel(EventId id) {
-    if (id == 0 || id >= next_id_) return;
-    cancelled_.insert(id);
-  }
-
-  bool step() {
-    Record rec;
-    if (!pop_next(rec)) return false;
-    now_ = rec.time;
-    ++executed_;
-    rec.cb();
-    return true;
-  }
-
-  void run() {
-    while (step()) {
-    }
-  }
-
-  std::size_t pending() const { return heap_.size() - cancelled_.size(); }
-  std::uint64_t executed() const { return executed_; }
-
- private:
-  struct Record {
-    TimeNs time;
-    EventId id;
-    Callback cb;
-  };
-  struct Later {
-    bool operator()(const Record& a, const Record& b) const {
-      return a.time != b.time ? a.time > b.time : a.id > b.id;
-    }
-  };
-
-  bool pop_next(Record& out) {
-    while (!heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      Record rec = std::move(heap_.back());
-      heap_.pop_back();
-      const auto it = cancelled_.find(rec.id);
-      if (it != cancelled_.end()) {
-        cancelled_.erase(it);
-        continue;
-      }
-      out = std::move(rec);
-      return true;
-    }
-    return false;
-  }
-
-  TimeNs now_ = 0;
-  EventId next_id_ = 1;
-  std::uint64_t executed_ = 0;
-  std::vector<Record> heap_;
-  std::unordered_set<EventId> cancelled_;
-};
-
-// ---------------------------------------------------------------------------
 // Deterministic PRNG for the drivers (host-side; never touches sim state).
 // ---------------------------------------------------------------------------
 std::uint64_t splitmix(std::uint64_t& s) {
@@ -123,18 +43,19 @@ std::uint64_t splitmix(std::uint64_t& s) {
   return z ^ (z >> 31);
 }
 
-// Per-run callback side-effect accumulators.  Trial-local (passed into every
-// driver) so concurrent trials never share mutable state — file-scope sinks
-// would be a data race under --jobs.  Doubling as the equivalence check:
-// both engines must leave identical values behind.
-struct Sinks {
-  std::uint64_t cb = 0;       // timer-callback firings
-  std::uint64_t payload = 0;  // payload-callback accumulation
+// Per-run counts.  Trial-local (passed into every drive function) so
+// concurrent trials never share mutable state — file-scope counters would
+// be a data race under --jobs.
+struct Tally {
+  std::uint64_t scheduled = 0;  // schedule calls, callbacks' included
+  std::uint64_t cancelled = 0;  // cancel calls
+  std::uint64_t cb = 0;         // timer-callback firings
+  std::uint64_t payload = 0;    // payload-callback accumulation
 };
 
 // Callback payload shaped like the simulator's real lambdas — machine.cpp
 // and knet capture [this, &cpu, &t, epoch]-style 24-32 byte closures, which
-// is what makes std::function allocate on every schedule.
+// InlineCallback holds without a heap allocation.
 struct Payload {
   std::uint64_t* sink;
   std::uint64_t a;
@@ -143,269 +64,167 @@ struct Payload {
   void operator()() const { *sink += a ^ b ^ c; }
 };
 
-Payload make_payload(std::uint64_t& rng, Sinks& sinks) {
-  return Payload{&sinks.payload, splitmix(rng), rng, rng >> 7};
+Payload make_payload(std::uint64_t& rng, Tally& t) {
+  return Payload{&t.payload, splitmix(rng), rng, rng >> 7};
+}
+
+// A periodic timer that reschedules itself until the engine has executed
+// `stop_at` events — the tick/daemon-wakeup shape of the simulator.
+struct Timer {
+  sim::Engine* e;
+  Tally* t;
+  TimeNs period;
+  std::uint64_t stop_at;
+  void operator()() const {
+    ++t->cb;
+    if (e->executed() < stop_at) {
+      ++t->scheduled;
+      e->schedule_after(period, *this);
+    }
+  }
+};
+
+// A work/guard pair — the machine.cpp burst_event pattern: the guard fires
+// `gap` after the work unless the work, which adds `add` to the payload
+// sink, cancels it first.  It always does, since the guard is later.
+void schedule_pair(sim::Engine& e, Tally& t, TimeNs dt, TimeNs gap,
+                   const Payload& guard_cb, std::uint64_t add) {
+  const EventId guard = e.schedule_after(dt + gap, guard_cb);
+  sim::Engine* ep = &e;
+  Tally* tp = &t;
+  e.schedule_after(dt, [ep, tp, guard, add] {
+    tp->payload += add;
+    ++tp->cancelled;
+    ep->cancel(guard);
+  });
+  t.scheduled += 2;
 }
 
 // Uniform: keep ~8k one-shot events in flight at random future offsets.
-template <class E>
-void drive_uniform(E& e, std::uint64_t target, Sinks& sinks) {
+void drive_uniform(sim::Engine& e, std::uint64_t target, Tally& t) {
   std::uint64_t rng = 0x5EEDu;
-  std::uint64_t scheduled = 0;
   while (e.executed() < target) {
-    if (scheduled < target && scheduled - e.executed() < 8192) {
+    if (t.scheduled < target && t.scheduled - e.executed() < 8192) {
       const TimeNs dt = 1 + splitmix(rng) % 20000;
-      e.schedule_after(dt, make_payload(rng, sinks));
-      ++scheduled;
+      e.schedule_after(dt, make_payload(rng, t));
+      ++t.scheduled;
     } else {
       e.step();
     }
   }
 }
 
-// Timer-wheel-like: 512 periodic timers, each rescheduling itself, periods
-// spread over ~2 decades — the tick/daemon-wakeup shape of the simulator.
-template <class E>
-void drive_timer_wheel(E& e, std::uint64_t target, Sinks& sinks) {
-  struct Timer {
-    E* e;
-    Sinks* sinks;
-    TimeNs period;
-    std::uint64_t stop_at;
-    void operator()() {
-      ++sinks->cb;
-      if (e->executed() < stop_at) e->schedule_after(period, *this);
-    }
-  };
+// Timer-wheel-like: 512 periodic timers, periods spread over ~2 decades,
+// run until the last one stops.
+void drive_timer_wheel(sim::Engine& e, std::uint64_t target, Tally& t) {
   for (std::uint32_t i = 0; i < 512; ++i) {
-    const Timer t{&e, &sinks, 100 + 173 * static_cast<TimeNs>(i), target};
-    e.schedule_after(t.period, t);
+    const Timer timer{&e, &t, 100 + 173 * static_cast<TimeNs>(i), target};
+    e.schedule_after(timer.period, timer);
+    ++t.scheduled;
   }
-  while (e.executed() < target && e.step()) {
-  }
-  e.run();  // drain the tail
+  e.run();
 }
 
-// Cancel-heavy: work/guard pairs where the work event cancels its guard
-// before the guard's (strictly later) deadline — the machine.cpp
-// burst_event pattern.  Two of three executed events are schedule+cancel
-// traffic for the engine.
-template <class E>
-void drive_cancel_heavy(E& e, std::uint64_t target, Sinks& sinks) {
+// Cancel-heavy: ~4k work/guard pairs in flight, each guard 50 us after its
+// work.  Each pair is two schedules, one cancel and one fire.
+void drive_cancel_heavy(sim::Engine& e, std::uint64_t target, Tally& t) {
   std::uint64_t rng = 0xCA9CE1u;
-  std::vector<EventId> guards(4096, 0);
-  std::uint64_t scheduled = 0;
+  std::uint64_t pairs = 0;
   while (e.executed() < target) {
-    if (scheduled < target && scheduled - e.executed() < 4096) {
+    if (pairs < target && pairs - e.executed() < 4096) {
       const TimeNs dt = 1 + splitmix(rng) % 10000;
-      const std::size_t slot = scheduled % guards.size();
-      guards[slot] = e.schedule_after(dt + 50000, make_payload(rng, sinks));
-      EventId* guard = &guards[slot];
-      E* ep = &e;
-      Sinks* sp = &sinks;
-      const std::uint64_t epoch = scheduled;
-      e.schedule_after(dt, [ep, sp, guard, epoch] {
-        sp->payload += epoch;
-        ep->cancel(*guard);
-      });
-      ++scheduled;
+      schedule_pair(e, t, dt, 50000, make_payload(rng, t), pairs);
+      ++pairs;
     } else {
       e.step();
     }
   }
 }
 
-// Mixed workload: the headline number.  60% one-shot events, 25%
-// self-rescheduling timers, 15% cancellable pairs — the approximate blend
-// of dispatch/burst, tick, and timeout traffic in a chiba run.  The
-// per-event decisions and deltas are precomputed into a trace so the
-// measured loop is engine work, not PRNG work, and both engines replay a
-// byte-identical operation sequence.
-struct MixedTrace {
-  std::vector<std::uint8_t> action;  // 0 = one-shot, 1 = timer, 2 = pair
-  std::vector<std::uint32_t> delta;
-};
-
-MixedTrace make_mixed_trace(std::uint64_t n) {
-  MixedTrace tr;
-  tr.action.resize(n);
-  tr.delta.resize(n);
+// Mixed: 60% one-shot events, 25% self-rescheduling timers (at most 512),
+// 15% work/guard pairs — the approximate blend of dispatch/burst, tick,
+// and timeout traffic in a Chiba run.
+void drive_mixed(sim::Engine& e, std::uint64_t target, Tally& t) {
   std::uint64_t rng = 0x313EDu;
+  std::uint64_t actions = 0;
   std::uint64_t timers = 0;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t r = splitmix(rng) % 100;
-    tr.delta[i] = static_cast<std::uint32_t>(1 + splitmix(rng) % 20000);
-    if (r < 60) {
-      tr.action[i] = 0;
-    } else if (r < 85 && timers < 512) {
-      tr.action[i] = 1;
-      ++timers;
-    } else if (r >= 85) {
-      tr.action[i] = 2;
-    } else {
-      tr.action[i] = 0;
-    }
-  }
-  return tr;
-}
-
-template <class E>
-void drive_mixed(E& e, std::uint64_t target, Sinks& sinks,
-                 const MixedTrace& tr) {
-  struct Timer {
-    E* e;
-    Sinks* sinks;
-    TimeNs period;
-    std::uint64_t stop_at;
-    void operator()() {
-      ++sinks->cb;
-      if (e->executed() < stop_at) e->schedule_after(period, *this);
-    }
-  };
-  std::uint64_t scheduled = 0;
-  std::vector<EventId> guards(2048, 0);
-  const Payload payload{&sinks.payload, 0x1111, 0x2222, 0x3333};
+  // a ^ b ^ c is nonzero, so every one-shot counts in the payload sink.
+  const Payload payload{&t.payload, 0x1111, 0x2222, 0x4444};
   while (e.executed() < target) {
-    if (scheduled < target && scheduled - e.executed() < 8192) {
-      const TimeNs dt = tr.delta[scheduled];
-      switch (tr.action[scheduled]) {
-        case 0:
-          e.schedule_after(dt, payload);
-          break;
-        case 1:
-          e.schedule_after(dt, Timer{&e, &sinks, dt, target});
-          break;
-        default: {
-          const std::size_t slot = scheduled % guards.size();
-          guards[slot] = e.schedule_after(dt + 40000, payload);
-          EventId* guard = &guards[slot];
-          E* ep = &e;
-          Sinks* sp = &sinks;
-          e.schedule_after(dt, [ep, sp, guard] {
-            ++sp->payload;
-            ep->cancel(*guard);
-          });
-          break;
-        }
+    if (actions < target && actions - e.executed() < 8192) {
+      const std::uint64_t r = splitmix(rng) % 100;
+      const TimeNs dt = 1 + splitmix(rng) % 20000;
+      if (r >= 85) {
+        schedule_pair(e, t, dt, 40000, payload, 1);
+      } else if (r >= 60 && timers < 512) {
+        ++timers;
+        e.schedule_after(dt, Timer{&e, &t, dt, target});
+        ++t.scheduled;
+      } else {
+        e.schedule_after(dt, payload);
+        ++t.scheduled;
       }
-      ++scheduled;
+      ++actions;
     } else {
       e.step();
     }
   }
 }
 
-// One mix run through both engines: the deterministic equivalence facts
-// plus the (host-dependent, info-only) best-of-N timings.
-struct MixOutcome {
-  std::uint64_t events = 0;
-  std::uint64_t legacy_executed = 0, fast_executed = 0;
-  Sinks legacy_sinks, fast_sinks;
-  double legacy_ns = 0, fast_ns = 0;  // host timing; stderr only
-  double speedup() const { return legacy_ns / fast_ns; }
+struct Mix {
+  const char* name;
+  void (*drive)(sim::Engine&, std::uint64_t, Tally&);
 };
 
-template <class Driver>
-MixOutcome run_mix(std::uint64_t target, Driver driver) {
+constexpr Mix kMixes[] = {{"uniform", drive_uniform},
+                          {"timer_wheel", drive_timer_wheel},
+                          {"cancel_heavy", drive_cancel_heavy},
+                          {"mixed", drive_mixed}};
+
+// One mix's single pass: its tally and the engine's own counts.
+struct MixOutcome {
+  std::uint64_t target = 0;
+  std::uint64_t executed = 0;
+  std::uint64_t pending = 0;
+  Tally tally;
+
+  // Every scheduled event executed, was cancelled, or is still pending, and
+  // the mix executed at least its target.
+  bool conserved() const {
+    return tally.scheduled == executed + tally.cancelled + pending &&
+           executed >= target;
+  }
+};
+
+MixOutcome run_mix(const Mix& mix, std::uint64_t target) {
+  sim::Engine e;
   MixOutcome r;
-  r.events = target;
-  // Warmup pass on each engine type (page in code, grow pools), then several
-  // interleaved measured passes on fresh engines; keep the best (minimum
-  // ns/event) per engine — the standard way to filter scheduler/host noise
-  // out of a microbenchmark.
-  constexpr int kReps = 3;
-  const std::uint64_t warm = target / 10 + 1000;
-  {
-    LegacyEngine w;
-    Sinks s;
-    driver(w, warm, s);
-  }
-  {
-    sim::Engine w;
-    Sinks s;
-    driver(w, warm, s);
-  }
-  r.legacy_ns = 1e30;
-  r.fast_ns = 1e30;
-  for (int rep = 0; rep < kReps; ++rep) {
-    {
-      LegacyEngine e;
-      Sinks s;
-      const auto t0 = std::chrono::steady_clock::now();
-      driver(e, target, s);
-      const auto t1 = std::chrono::steady_clock::now();
-      r.legacy_ns = std::min(
-          r.legacy_ns, std::chrono::duration<double, std::nano>(t1 - t0)
-                               .count() /
-                           static_cast<double>(e.executed()));
-      r.legacy_executed = e.executed();
-      r.legacy_sinks = s;
-    }
-    {
-      sim::Engine e;
-      Sinks s;
-      const auto t0 = std::chrono::steady_clock::now();
-      driver(e, target, s);
-      const auto t1 = std::chrono::steady_clock::now();
-      r.fast_ns = std::min(
-          r.fast_ns, std::chrono::duration<double, std::nano>(t1 - t0)
-                             .count() /
-                         static_cast<double>(e.executed()));
-      r.fast_executed = e.executed();
-      r.fast_sinks = s;
-    }
-  }
+  r.target = target;
+  mix.drive(e, target, r.tally);
+  r.executed = e.executed();
+  r.pending = e.pending();
   return r;
 }
 
-struct ReplayOutcome {
-  std::uint64_t engine_events = 0;
-  double wall_sec = 0;  // host timing; stderr only
-};
+// A 64-bit sink folded to 32 bits, so the JSON double carries it exactly.
+std::uint32_t fold32(std::uint64_t v) {
+  return static_cast<std::uint32_t>(v >> 32) ^ static_cast<std::uint32_t>(v);
+}
 
 std::vector<TrialSpec> engine_trials(const ScenarioParams& p) {
   const auto n =
       static_cast<std::uint64_t>(1'000'000 * std::max(p.scale, 1e-5));
   const std::uint64_t target = std::max<std::uint64_t>(n, 1);
   std::vector<TrialSpec> trials;
-  trials.push_back({"uniform", [target] {
-                      auto r = run_mix(target, [](auto& e, std::uint64_t t,
-                                                  Sinks& s) {
-                        drive_uniform(e, t, s);
-                      });
-                      return trial_result(
-                          std::move(r),
-                          {{"events", static_cast<double>(r.events)}});
-                    }});
-  trials.push_back({"timer_wheel", [target] {
-                      auto r = run_mix(target, [](auto& e, std::uint64_t t,
-                                                  Sinks& s) {
-                        drive_timer_wheel(e, t, s);
-                      });
-                      return trial_result(
-                          std::move(r),
-                          {{"events", static_cast<double>(r.events)}});
-                    }});
-  trials.push_back({"cancel_heavy", [target] {
-                      auto r = run_mix(target, [](auto& e, std::uint64_t t,
-                                                  Sinks& s) {
-                        drive_cancel_heavy(e, t, s);
-                      });
-                      return trial_result(
-                          std::move(r),
-                          {{"events", static_cast<double>(r.events)}});
-                    }});
-  trials.push_back(
-      {"mixed", [target] {
-         const MixedTrace trace =
-             make_mixed_trace(std::max(target, target / 10 + 1000));
-         auto r = run_mix(target, [&trace](auto& e, std::uint64_t t,
-                                           Sinks& s) {
-           drive_mixed(e, t, s, trace);
-         });
-         return trial_result(std::move(r),
-                             {{"events", static_cast<double>(r.events)}});
-       }});
+  for (const Mix& mix : kMixes) {
+    trials.push_back({mix.name, [&mix, target] {
+                        const MixOutcome r = run_mix(mix, target);
+                        return trial_result(
+                            r, {{"executed", static_cast<double>(r.executed)},
+                                {"sink_cb", fold32(r.tally.cb)},
+                                {"sink_payload", fold32(r.tally.payload)}});
+                      }});
+  }
   // Real workload replay: a miniature chiba run through the full simulated
   // stack (scheduler, IRQs, TCP, MPI, KTAU probes) on the live engine.
   ChibaRunConfig cfg;
@@ -414,94 +233,52 @@ std::vector<TrialSpec> engine_trials(const ScenarioParams& p) {
   cfg.ranks = 16;
   cfg.scale = 0.04 * p.scale;
   cfg.seed = p.seed(5);
-  trials.push_back(
-      {"replay", [cfg] {
-         const auto t0 = std::chrono::steady_clock::now();
-         const auto run = run_chiba(cfg);
-         const auto t1 = std::chrono::steady_clock::now();
-         ReplayOutcome r;
-         r.engine_events = run.engine_events;
-         r.wall_sec = std::chrono::duration<double>(t1 - t0).count();
-         return trial_result(
-             r, {{"engine_events", static_cast<double>(r.engine_events)}});
-       }});
+  trials.push_back({"replay", [cfg] {
+                      const std::uint64_t events = run_chiba(cfg).engine_events;
+                      return trial_result(
+                          events,
+                          {{"engine_events", static_cast<double>(events)}});
+                    }});
   return trials;
 }
 
 void engine_report(Report& rep, const ScenarioParams&,
                    const std::vector<TrialResult>& results) {
-  static constexpr const char* kMixNames[] = {"uniform", "timer_wheel",
-                                              "cancel_heavy", "mixed"};
-  rep.printf("legacy (seed) vs indexed-4-ary-heap engine, identical "
-             "deterministic operation sequences\n\n");
-  double headline = 0;
-  for (std::size_t i = 0; i < std::size(kMixNames); ++i) {
+  rep.printf("sim::Engine, one pass per mix: scheduled = executed + "
+             "cancelled + pending\n\n");
+  for (std::size_t i = 0; i < std::size(kMixes); ++i) {
     const auto& m = payload<MixOutcome>(results[i]);
-    rep.printf("%-16s %9llu events | executed legacy %llu / fast %llu | "
-               "sinks legacy %llu/%llu fast %llu/%llu\n",
-               kMixNames[i], static_cast<unsigned long long>(m.events),
-               static_cast<unsigned long long>(m.legacy_executed),
-               static_cast<unsigned long long>(m.fast_executed),
-               static_cast<unsigned long long>(m.legacy_sinks.cb),
-               static_cast<unsigned long long>(m.legacy_sinks.payload),
-               static_cast<unsigned long long>(m.fast_sinks.cb),
-               static_cast<unsigned long long>(m.fast_sinks.payload));
-    // Host timings are machine-dependent: stderr only.
-    std::ostream& info = rep.info();
-    char line[160];
-    std::snprintf(line, sizeof(line),
-                  "  [%s: legacy %.1f ns/ev, fast %.1f ns/ev, speedup "
-                  "%.2fx]\n",
-                  kMixNames[i], m.legacy_ns, m.fast_ns, m.speedup());
-    info << line;
-    if (i + 1 == std::size(kMixNames)) headline = m.speedup();
+    rep.printf("%-13s scheduled %8llu = executed %8llu + cancelled %7llu + "
+               "pending %6llu | sinks %u/%u\n",
+               kMixes[i].name,
+               static_cast<unsigned long long>(m.tally.scheduled),
+               static_cast<unsigned long long>(m.executed),
+               static_cast<unsigned long long>(m.tally.cancelled),
+               static_cast<unsigned long long>(m.pending), fold32(m.tally.cb),
+               fold32(m.tally.payload));
   }
-  {
-    char line[120];
-    std::snprintf(line, sizeof(line),
-                  "  [headline (mixed) speedup: %.2fx; engineering target "
-                  ">= 2.5x]\n",
-                  headline);
-    rep.info() << line;
-  }
+  const auto replay_events =
+      payload<std::uint64_t>(results[std::size(kMixes)]);
+  rep.printf("\nreplay chiba 64x2 LU x16 (full stack): %llu engine events\n\n",
+             static_cast<unsigned long long>(replay_events));
 
-  const auto& replay = payload<ReplayOutcome>(results[4]);
-  rep.printf("\nreplay chiba 64x2 LU x16 (full stack): %llu engine events\n",
-             static_cast<unsigned long long>(replay.engine_events));
-  {
-    char line[160];
-    std::snprintf(line, sizeof(line),
-                  "  [replay: %.2f s host wall = %.2f M ev/s]\n",
-                  replay.wall_sec,
-                  replay.wall_sec > 0
-                      ? static_cast<double>(replay.engine_events) /
-                            replay.wall_sec / 1e6
-                      : 0.0);
-    rep.info() << line;
+  for (std::size_t i = 0; i < std::size(kMixes); ++i) {
+    rep.gate(std::string(kMixes[i].name) +
+                 ": scheduled == executed + cancelled + pending",
+             payload<MixOutcome>(results[i]).conserved());
   }
-  rep.printf("\n");
-
-  for (std::size_t i = 0; i < std::size(kMixNames); ++i) {
-    const auto& m = payload<MixOutcome>(results[i]);
-    rep.gate(std::string(kMixNames[i]) +
-                 ": fast engine equivalent to legacy (executed + side "
-                 "effects)",
-             m.legacy_executed == m.fast_executed &&
-                 m.legacy_executed >= m.events &&
-                 m.legacy_sinks.cb == m.fast_sinks.cb &&
-                 m.legacy_sinks.payload == m.fast_sinks.payload);
-  }
-  rep.gate("replay drives the full stack", replay.engine_events > 0);
+  rep.gate("replay drives the full stack", replay_events > 0);
 }
 
 [[maybe_unused]] const bool registered = register_scenario(
     {.name = "engine",
-     .title = "Engine microbenchmark: seed (legacy) vs indexed-4-ary-heap "
-              "engine",
+     .title = "Engine mixes: one sim::Engine pass per schedule/cancel/fire "
+              "mix, plus a full-stack replay",
      .default_scale = 1.0,
      .order = 90,
      .trials = engine_trials,
      .report = engine_report});
+
 
 // ---------------------------------------------------------------------------
 // Node-scale scenario: the conservative parallel scheduler on a synthetic

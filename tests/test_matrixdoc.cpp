@@ -252,8 +252,9 @@ std::string run_to_json(int shard_index, int shard_count, int trials) {
   opt.shard_count = shard_count;
   const auto path =
       std::filesystem::temp_directory_path() /
-      ("mdoc_" + std::to_string(shard_index) + "_" +
-       std::to_string(shard_count) + "_" + std::to_string(trials) + ".json");
+      ("mdoc_" + std::to_string(::getpid()) + "_" +
+       std::to_string(shard_index) + "_" + std::to_string(shard_count) + "_" +
+       std::to_string(trials) + ".json");
   opt.json_path = path.string();
   std::ostringstream out, info;
   expt::run_matrix(opt, out, info);

@@ -5,7 +5,10 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <random>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -227,66 +230,140 @@ TEST(Engine, CallbackCancelsLaterEvent) {
   EXPECT_EQ(e.executed(), 1u);
 }
 
-// Randomized stress against a naive reference model: same fixed-seed
-// operation sequence applied to the engine and to a sorted-list model must
-// produce the same execution order and the same pending count throughout.
-TEST(Engine, StressMatchesReferenceModel) {
-  // Tags are assigned in schedule order, so tag doubles as the FIFO
-  // sequence number of the reference model.
-  struct RefEvent {
-    TimeNs time;
-    int tag;
-    bool cancelled;
+// The order reference for StressMatchesReferenceModel: a std::multimap on
+// time.  emplace() puts an event after its equal-time peers, so the map is
+// ordered on (time, schedule order) — the engine's FIFO contract — with no
+// heap, slot pool or generation tag of its own.
+class RefEngine {
+ public:
+  TimeNs now() const { return now_; }
+  std::size_t pending() const { return queue_.size(); }
+  std::uint64_t executed() const { return executed_; }
+  std::uint64_t schedule_after(TimeNs dt, std::function<void()> cb) {
+    const std::uint64_t id = ++last_id_;
+    live_[id] = queue_.emplace(now_ + dt, Event{id, std::move(cb)});
+    return id;
+  }
+  void cancel(std::uint64_t id) {
+    const auto it = live_.find(id);
+    if (it == live_.end()) return;  // fired, cancelled, or never issued
+    queue_.erase(it->second);
+    live_.erase(it);
+  }
+  bool step() {
+    if (queue_.empty()) return false;
+    auto node = queue_.extract(queue_.begin());
+    now_ = node.key();
+    live_.erase(node.mapped().id);
+    ++executed_;
+    node.mapped().cb();
+    return true;
+  }
+
+ private:
+  struct Event {
+    std::uint64_t id;
+    std::function<void()> cb;
   };
-  Engine e;
-  std::vector<RefEvent> ref;
-  std::vector<int> engine_order;  // tags in engine execution order
-  std::vector<char> fired;        // indexed by tag
-  std::vector<EventId> handles;   // indexed by tag
-  std::size_t ref_pending = 0;
-  std::size_t seen = 0;  // prefix of engine_order already accounted
+  std::multimap<TimeNs, Event> queue_;
+  std::unordered_map<std::uint64_t, std::multimap<TimeNs, Event>::iterator>
+      live_;
+  TimeNs now_ = 0;
+  std::uint64_t last_id_ = 0;
+  std::uint64_t executed_ = 0;
+};
+
+// One engine and the random program's bookkeeping for it.  Tags number
+// events in schedule order, callbacks' schedules included; each callback
+// logs its tag when it runs.
+template <class E>
+struct World {
+  E e;
+  std::vector<int> log;                // tags in execution order
+  std::vector<std::uint64_t> handles;  // indexed by tag
+
+  int one_shot(TimeNs dt) {
+    const int tag = static_cast<int>(handles.size());
+    handles.push_back(
+        e.schedule_after(dt, [this, tag] { log.push_back(tag); }));
+    return tag;
+  }
+  // Fires `left` + 1 times, rescheduling itself from inside its callback.
+  void timer(TimeNs period, int left) {
+    const int tag = static_cast<int>(handles.size());
+    handles.push_back(e.schedule_after(period, [this, tag, period, left] {
+      log.push_back(tag);
+      if (left > 0) timer(period, left - 1);
+    }));
+  }
+  // A work event that cancels its (strictly later) guard when it runs.
+  void pair(TimeNs dt, TimeNs gap) {
+    const int guard = one_shot(dt + gap);
+    const int tag = static_cast<int>(handles.size());
+    handles.push_back(e.schedule_after(dt, [this, tag, guard] {
+      log.push_back(tag);
+      e.cancel(handles[static_cast<std::size_t>(guard)]);
+    }));
+  }
+};
+
+// Drives Engine and RefEngine in lockstep with one fixed-seed program:
+// one-shots, steps, cancels of random handles (pending, fired or already
+// cancelled), self-rescheduling timers and work/guard pairs.  Below
+// `in_flight` pending events each round draws an op; at it, the round
+// steps.  After the `rounds`, both drain.  Execution order, now(),
+// pending() and executed() must match after every round.
+void stress_against_reference(int rounds, std::size_t in_flight,
+                              std::size_t& peak) {
+  World<Engine> fast;
+  World<RefEngine> ref;
+  const auto both = [&](auto&& f) {
+    f(fast);
+    f(ref);
+  };
   std::mt19937 rng(1234);
-  for (int round = 0; round < 5000; ++round) {
-    const auto op = rng() % 4;
-    if (op < 2) {  // schedule
-      const TimeNs t = e.now() + rng() % 500;
-      const int tag = static_cast<int>(ref.size());
-      handles.push_back(e.schedule_at(t, [&engine_order, tag] {
-        engine_order.push_back(tag);
-      }));
-      ref.push_back(RefEvent{t, tag, false});
-      fired.push_back(0);
-      ++ref_pending;
-    } else if (op == 2 && !handles.empty()) {  // cancel a random handle
-      const std::size_t pick = rng() % handles.size();
-      e.cancel(handles[pick]);
-      // Reference: the cancel only counts if the event has not fired and
-      // was not already cancelled — anything else is a no-op.
-      if (fired[pick] == 0 && !ref[pick].cancelled) {
-        ref[pick].cancelled = true;
-        --ref_pending;
-      }
-    } else {  // step
-      e.step();
+  std::size_t seen = 0;  // prefix of the logs already compared
+  peak = 0;
+  for (int round = 0; round < rounds || ref.e.pending() > 0; ++round) {
+    const auto op =
+        round < rounds && ref.e.pending() < in_flight ? rng() % 8 : 7;
+    if (op < 3) {
+      const TimeNs dt = rng() % 500;
+      both([&](auto& w) { w.one_shot(dt); });
+    } else if (op == 3) {
+      const TimeNs period = 1 + rng() % 500;
+      const int left = static_cast<int>(rng() % 4);
+      both([&](auto& w) { w.timer(period, left); });
+    } else if (op == 4) {
+      const TimeNs dt = rng() % 500;
+      const TimeNs gap = 1 + rng() % 500;
+      both([&](auto& w) { w.pair(dt, gap); });
+    } else if (op == 5 && !ref.handles.empty()) {
+      const std::size_t pick = rng() % ref.handles.size();
+      both([&](auto& w) { w.e.cancel(w.handles[pick]); });
+    } else {
+      both([](auto& w) { w.e.step(); });
     }
-    for (; seen < engine_order.size(); ++seen) {
-      fired[static_cast<std::size_t>(engine_order[seen])] = 1;
-      --ref_pending;
+    ASSERT_EQ(fast.e.pending(), ref.e.pending()) << "round " << round;
+    ASSERT_EQ(fast.e.executed(), ref.e.executed()) << "round " << round;
+    ASSERT_EQ(fast.e.now(), ref.e.now()) << "round " << round;
+    ASSERT_EQ(fast.log.size(), ref.log.size()) << "round " << round;
+    for (; seen < ref.log.size(); ++seen) {
+      ASSERT_EQ(fast.log[seen], ref.log[seen]) << "execution #" << seen;
     }
-    ASSERT_EQ(e.pending(), ref_pending) << "round " << round;
+    peak = std::max(peak, ref.e.pending());
   }
-  e.run();
-  // Expected order: surviving reference events sorted by (time, tag).
-  std::vector<RefEvent> live;
-  for (const auto& r : ref) {
-    if (!r.cancelled) live.push_back(r);
-  }
-  std::sort(live.begin(), live.end(), [](const RefEvent& a, const RefEvent& b) {
-    return a.time != b.time ? a.time < b.time : a.tag < b.tag;
-  });
-  std::vector<int> expected;
-  for (const auto& r : live) expected.push_back(r.tag);
-  EXPECT_EQ(engine_order, expected);
+  EXPECT_EQ(fast.e.pending(), 0u);
+  EXPECT_FALSE(fast.e.step());
+}
+
+TEST(Engine, StressMatchesReferenceModel) {
+  std::size_t peak = 0;
+  stress_against_reference(5'000, 8192, peak);
+  if (HasFatalFailure()) return;
+  // Long enough to hold about 8k events in flight for most of the run.
+  stress_against_reference(60'000, 8192, peak);
+  EXPECT_GE(peak, 8000u);
 }
 
 // Oversized captures (> InlineCallback::kInlineSize) must still work via the
