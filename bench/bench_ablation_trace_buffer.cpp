@@ -35,12 +35,14 @@ struct CaseResult {
   }
 };
 
-CaseResult run_case(std::size_t capacity, sim::TimeNs period) {
+CaseResult run_case(std::size_t capacity, sim::TimeNs period,
+                    std::uint64_t seed) {
   kernel::Cluster cluster;
   kernel::MachineConfig cfg;
   cfg.cpus = 2;
   cfg.ktau.tracing = true;
   cfg.ktau.trace_capacity = capacity;
+  cfg.seed = seed;
   kernel::Machine& m = cluster.add_machine(cfg);
 
   kernel::Task& worker = m.spawn("worker");
@@ -66,15 +68,16 @@ CaseResult run_case(std::size_t capacity, sim::TimeNs period) {
   return res;
 }
 
-std::vector<TrialSpec> trace_buffer_trials(const ScenarioParams&) {
+std::vector<TrialSpec> trace_buffer_trials(const ScenarioParams& p) {
+  const std::uint64_t seed = p.seed(1);
   std::vector<TrialSpec> trials;
   for (const auto capacity : kCapacities) {
     for (const auto period : kPeriods) {
       trials.push_back(
           {"cap" + std::to_string(capacity) + "/period" +
                std::to_string(period / kMillisecond) + "ms",
-           [capacity, period] {
-             const auto res = run_case(capacity, period);
+           [capacity, period, seed] {
+             const auto res = run_case(capacity, period, seed);
              return trial_result(
                  res, {{"captured", static_cast<double>(res.captured)},
                        {"dropped", static_cast<double>(res.dropped)},

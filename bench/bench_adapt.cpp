@@ -79,7 +79,7 @@ kernel::Program bursty_program(kernel::Machine& m, int iters) {
 }
 
 AdaptRun run_scenario(double scale, meas::GroupMask static_mask,
-                      bool control) {
+                      bool control, std::uint64_t seed) {
   const int iters = std::max(200, static_cast<int>(4000 * scale));
   const sim::TimeNs horizon = 10 * sim::kSecond;
   // Fixed daemon population (not scaled): they exist to hold open
@@ -93,6 +93,7 @@ AdaptRun run_scenario(double scale, meas::GroupMask static_mask,
   mcfg.ktau.tracing = true;
   mcfg.ktau.trace_capacity = kInitialRing;
   mcfg.ktau.runtime_enabled = static_mask;
+  mcfg.seed = seed;
   kernel::Machine& m = cluster.add_machine(mcfg);
 
   for (int d = 0; d < daemons; ++d) {
@@ -157,9 +158,10 @@ AdaptRun run_scenario(double scale, meas::GroupMask static_mask,
 }
 
 TrialSpec adapt_trial(std::string name, double scale,
-                      meas::GroupMask static_mask, bool control) {
-  return {std::move(name), [scale, static_mask, control] {
-            auto run = run_scenario(scale, static_mask, control);
+                      meas::GroupMask static_mask, bool control,
+                      std::uint64_t seed) {
+  return {std::move(name), [scale, static_mask, control, seed] {
+            auto run = run_scenario(scale, static_mask, control, seed);
             return trial_result(
                 std::move(run),
                 {{"dropped", static_cast<double>(run.dropped)},
@@ -174,13 +176,15 @@ TrialSpec adapt_trial(std::string name, double scale,
 }
 
 std::vector<TrialSpec> adapt_trials(const ScenarioParams& p) {
-  // Fully deterministic workload: the repeated controller trial re-checks
-  // determinism (decision log included) instead of varying a seed.
+  // The workload is fixed; the seed drives the machine's probe-cost draws.
+  // ctrl2 shares ctrl's seed to re-check determinism (decision log
+  // included).
+  const std::uint64_t seed = p.seed(1);
   const meas::GroupMask sparse = meas::Group::Sched | meas::Group::Irq;
-  return {adapt_trial("dense", p.scale, meas::kAllGroups, false),
-          adapt_trial("sparse", p.scale, sparse, false),
-          adapt_trial("ctrl", p.scale, meas::kAllGroups, true),
-          adapt_trial("ctrl2", p.scale, meas::kAllGroups, true)};
+  return {adapt_trial("dense", p.scale, meas::kAllGroups, false, seed),
+          adapt_trial("sparse", p.scale, sparse, false, seed),
+          adapt_trial("ctrl", p.scale, meas::kAllGroups, true, seed),
+          adapt_trial("ctrl2", p.scale, meas::kAllGroups, true, seed)};
 }
 
 void adapt_report(Report& rep, const ScenarioParams& p,

@@ -14,7 +14,7 @@
 //   - delta extraction moves fewer bytes in total;
 //   - the daemon's delta stream, reassembled client-side and continued by
 //     one more read after the run, carries the same cumulative totals as a
-//     fresh full read (merged through analysis::MergePipeline);
+//     fresh full read (both folded by analysis::aggregate_events);
 //   - KTAUD-induced perturbation is strictly lower with deltas (the
 //     monitored app finishes strictly earlier);
 //   - determinism: the delta run is bit-identical across two executions
@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/merge.hpp"
+#include "analysis/views.hpp"
 #include "apps/daemons.hpp"
 #include "clients/ktaud.hpp"
 #include "experiments/harness.hpp"
@@ -40,8 +40,8 @@ struct ScaleRun {
   sim::TimeNs app_done = 0;        // monitored app completion time
   double daemon_cpu_share = 0;     // modelled processing time / horizon
   // End-state kernel-wide views of the same simulation: a fresh full read
-  // and the daemon's reassembled cursor stream, both merged through
-  // analysis::MergePipeline.
+  // and the daemon's reassembled cursor stream, both folded by
+  // analysis::aggregate_events.
   std::vector<analysis::EventRow> merged_full;
   std::vector<analysis::EventRow> merged_stream;
 };
@@ -53,7 +53,7 @@ kernel::Program app_program(int iters) {
   }
 }
 
-ScaleRun run_scenario(double scale, bool delta) {
+ScaleRun run_scenario(double scale, bool delta, std::uint64_t seed) {
   const int daemons = std::max(16, static_cast<int>(160 * scale));
   const int app_iters = std::max(50, static_cast<int>(500 * scale));
   const sim::TimeNs horizon = 10 * sim::kSecond;
@@ -62,6 +62,7 @@ ScaleRun run_scenario(double scale, bool delta) {
   kernel::Cluster cluster;
   kernel::MachineConfig mcfg;
   mcfg.cpus = 1;  // everything contends: perturbation is visible
+  mcfg.seed = seed;
   kernel::Machine& m = cluster.add_machine(mcfg);
 
   // A wall of sleeper daemons: long periods, short bursts, staggered
@@ -110,18 +111,15 @@ ScaleRun run_scenario(double scale, bool delta) {
   const meas::ProfileSnapshot full_snap = fresh.get_profile(meas::Scope::All);
   const meas::ProfileSnapshot& stream_snap =
       ktaud.handle().get_profile_delta(meas::Scope::All);
-  analysis::MergePipeline full_pipe;
-  full_pipe.add(full_snap);
-  out.merged_full = full_pipe.event_rows();
-  analysis::MergePipeline stream_pipe;
-  stream_pipe.add(stream_snap);
-  out.merged_stream = stream_pipe.event_rows();
+  out.merged_full = analysis::aggregate_events(full_snap);
+  out.merged_stream = analysis::aggregate_events(stream_snap);
   return out;
 }
 
-TrialSpec scale_trial(std::string name, double scale, bool delta) {
-  return {std::move(name), [scale, delta] {
-            auto run = run_scenario(scale, delta);
+TrialSpec scale_trial(std::string name, double scale, bool delta,
+                      std::uint64_t seed) {
+  return {std::move(name), [scale, delta, seed] {
+            auto run = run_scenario(scale, delta, seed);
             return trial_result(
                 std::move(run),
                 {{"extractions", static_cast<double>(run.extractions)},
@@ -133,11 +131,13 @@ TrialSpec scale_trial(std::string name, double scale, bool delta) {
 }
 
 std::vector<TrialSpec> ktaud_trials(const ScenarioParams& p) {
-  // No RNG in this scenario — the workload is fully deterministic, so the
-  // seed salt has nothing to vary; repeats re-check determinism instead.
-  return {scale_trial("full", p.scale, false),
-          scale_trial("delta", p.scale, true),
-          scale_trial("delta2", p.scale, true)};
+  // The workload is fixed; the seed drives the machine's probe-cost draws.
+  // All three trials share it, so full and delta compare one draw stream
+  // and delta2 re-checks determinism.
+  const std::uint64_t seed = p.seed(1);
+  return {scale_trial("full", p.scale, false, seed),
+          scale_trial("delta", p.scale, true, seed),
+          scale_trial("delta2", p.scale, true, seed)};
 }
 
 void ktaud_report(Report& rep, const ScenarioParams&,
@@ -173,7 +173,7 @@ void ktaud_report(Report& rep, const ScenarioParams&,
   rep.gate("same extraction cadence in both modes",
            full.extractions == delta.extractions && full.extractions > 100);
 
-  // Same simulation, one merge pipeline: the delta stream's client-side
+  // Same simulation, one kernel-wide view: the delta stream's client-side
   // reassembly must serve the exact rows a fresh full read does.
   bool same_view = delta.merged_full.size() == delta.merged_stream.size() &&
                    !delta.merged_full.empty();

@@ -15,21 +15,22 @@
 namespace ktau::expt {
 namespace {
 
-kernel::MachineConfig node(bool instrumented) {
+kernel::MachineConfig node(bool instrumented, std::uint64_t seed) {
   kernel::MachineConfig cfg;
   cfg.cpus = 2;
   cfg.ktau.compiled_in = instrumented;
+  cfg.seed = seed;
   return cfg;
 }
 
-double run_lat_syscall(bool on) {
+double run_lat_syscall(bool on, std::uint64_t seed) {
   kernel::Cluster cluster;
-  kernel::Machine& m = cluster.add_machine(node(on));
+  kernel::Machine& m = cluster.add_machine(node(on, seed));
   const auto res = apps::lat_syscall_null(cluster, m, 20'000);
   // Base kernel records nothing; use wall time per call.
   if (res.calls == 0) {
     kernel::Cluster c2;
-    kernel::Machine& m2 = c2.add_machine(node(on));
+    kernel::Machine& m2 = c2.add_machine(node(on, seed));
     kernel::Task& t = m2.spawn("lat");
     t.program = [](void) -> kernel::Program {
       for (int i = 0; i < 20'000; ++i) {
@@ -43,28 +44,31 @@ double run_lat_syscall(bool on) {
   return res.per_call_us;
 }
 
-double run_lat_ctx(bool on) {
+double run_lat_ctx(bool on, std::uint64_t seed) {
   kernel::Cluster cluster;
-  kernel::Machine& m = cluster.add_machine(node(on));
+  kernel::Machine& m = cluster.add_machine(node(on, seed));
   knet::Fabric fabric(cluster);
   return apps::lat_ctx(cluster, m, fabric, 2'000).handoff_us;
 }
 
-double run_bw_tcp(bool on) {
+double run_bw_tcp(bool on, std::uint64_t seed) {
   kernel::Cluster cluster;
-  cluster.add_machine(node(on));
-  cluster.add_machine(node(on));
+  cluster.add_machine(node(on, seed));
+  cluster.add_machine(node(on, seed));
   knet::NetConfig net;
   net.latency_jitter_mean = 0;
   knet::Fabric fabric(cluster, net);
   return apps::bw_tcp(cluster, fabric, 0, 1, 50'000'000).mbytes_per_sec;
 }
 
-std::vector<TrialSpec> lmbench_trials(const ScenarioParams&) {
+std::vector<TrialSpec> lmbench_trials(const ScenarioParams& p) {
+  // Base and KTAU trials of one micro share a seed: each pair differs only
+  // in the instrumentation.
+  const std::uint64_t seed = p.seed(1);
   std::vector<TrialSpec> trials;
   struct Micro {
     const char* name;
-    double (*run)(bool);
+    double (*run)(bool, std::uint64_t);
   };
   static constexpr Micro kMicros[] = {
       {"lat_syscall", run_lat_syscall},
@@ -74,8 +78,8 @@ std::vector<TrialSpec> lmbench_trials(const ScenarioParams&) {
   for (const auto& micro : kMicros) {
     for (const bool on : {false, true}) {
       trials.push_back({std::string(micro.name) + (on ? "/ktau" : "/base"),
-                        [run = micro.run, on, name = micro.name] {
-                          const double v = run(on);
+                        [run = micro.run, on, name = micro.name, seed] {
+                          const double v = run(on, seed);
                           return trial_result(v, {{name, v}});
                         }});
     }

@@ -50,7 +50,7 @@ kernel::Program app_program(int iters) {
 }
 
 TraceScaleRun run_scenario(double scale, std::size_t capacity,
-                           bool keep_archives) {
+                           bool keep_archives, std::uint64_t seed) {
   const int daemons = std::max(16, static_cast<int>(160 * scale));
   const int app_iters = std::max(1000, static_cast<int>(10'000 * scale));
   const sim::TimeNs horizon = 10 * sim::kSecond;
@@ -60,6 +60,7 @@ TraceScaleRun run_scenario(double scale, std::size_t capacity,
   mcfg.cpus = 1;  // everything contends: perturbation is visible
   mcfg.ktau.tracing = true;
   mcfg.ktau.trace_capacity = capacity;
+  mcfg.seed = seed;
   kernel::Machine& m = cluster.add_machine(mcfg);
 
   // Sleeper wall: long periods, staggered phases — at steady state almost
@@ -152,9 +153,9 @@ TraceScaleRun run_scenario(double scale, std::size_t capacity,
 }
 
 TrialSpec scale_trial(std::string name, double scale, std::size_t capacity,
-                      bool keep_archives) {
-  return {std::move(name), [scale, capacity, keep_archives] {
-            auto run = run_scenario(scale, capacity, keep_archives);
+                      bool keep_archives, std::uint64_t seed) {
+  return {std::move(name), [scale, capacity, keep_archives, seed] {
+            auto run = run_scenario(scale, capacity, keep_archives, seed);
             return trial_result(
                 std::move(run),
                 {{"extractions", static_cast<double>(run.extractions)},
@@ -168,11 +169,12 @@ TrialSpec scale_trial(std::string name, double scale, std::size_t capacity,
 }
 
 std::vector<TrialSpec> trace_trials(const ScenarioParams& p) {
-  // No RNG in this scenario — the workload is fully deterministic, so the
-  // seed salt has nothing to vary; repeats re-check determinism instead.
-  return {scale_trial("drains", p.scale, 4096, false),
-          scale_trial("drains2", p.scale, 4096, false),
-          scale_trial("lossy", p.scale, 64, true)};
+  // The workload is fixed; the seed drives the machine's probe-cost draws.
+  // drains2 shares drains' seed to re-check determinism.
+  const std::uint64_t seed = p.seed(1);
+  return {scale_trial("drains", p.scale, 4096, false, seed),
+          scale_trial("drains2", p.scale, 4096, false, seed),
+          scale_trial("lossy", p.scale, 64, true, seed)};
 }
 
 void trace_report(Report& rep, const ScenarioParams&,

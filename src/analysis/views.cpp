@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_map>
 
-#include "analysis/merge.hpp"
 #include "sim/fault.hpp"
 
 namespace ktau::analysis {
@@ -18,11 +18,47 @@ double to_sec(sim::Cycles c, sim::FreqHz f) {
 }  // namespace
 
 std::vector<EventRow> aggregate_events(const meas::ProfileSnapshot& snap) {
-  return MergePipeline{}.add(snap).event_rows();
-}
+  // Sum by event id first (ids are dense and hashing them is cheap), then
+  // fold the totals into name-keyed rows.
+  std::unordered_map<meas::EventId, meas::EventEntry> totals;
+  for (const auto& task : snap.tasks) {
+    for (const auto& ev : task.events) {
+      auto& t = totals[ev.id];
+      t.id = ev.id;
+      t.count += ev.count;
+      t.incl += ev.incl;
+      t.excl += ev.excl;
+    }
+  }
+  // O(1) id -> descriptor lookup (ProfileSnapshot::event_name is a linear
+  // scan).  Unknown ids keep the snapshot's contract: empty name, Sched.
+  std::unordered_map<meas::EventId, const meas::EventDesc*> descs;
+  descs.reserve(snap.events.size());
+  for (const meas::EventDesc& e : snap.events) descs.emplace(e.id, &e);
 
-std::vector<TaskRow> per_task_activity(const meas::ProfileSnapshot& snap) {
-  return MergePipeline{}.add(snap).task_rows();
+  std::vector<EventRow> rows;
+  std::unordered_map<std::string_view, std::size_t> by_name;
+  for (const auto& [id, t] : totals) {
+    const auto d = descs.find(id);
+    const meas::EventDesc* desc = d == descs.end() ? nullptr : d->second;
+    const std::string_view name =
+        desc == nullptr ? std::string_view{} : std::string_view(desc->name);
+    const auto [it, inserted] = by_name.try_emplace(name, rows.size());
+    if (inserted) {
+      EventRow row;
+      row.name = std::string(name);
+      row.group = desc == nullptr ? meas::Group::Sched : desc->group;
+      rows.push_back(std::move(row));
+    }
+    EventRow& row = rows[it->second];
+    row.count += t.count;
+    row.incl_sec += to_sec(t.incl, snap.cpu_freq);
+    row.excl_sec += to_sec(t.excl, snap.cpu_freq);
+  }
+  std::sort(rows.begin(), rows.end(), [](const EventRow& a, const EventRow& b) {
+    return a.incl_sec > b.incl_sec;
+  });
+  return rows;
 }
 
 std::map<meas::Group, double> group_breakdown(

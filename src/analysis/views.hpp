@@ -1,8 +1,9 @@
 // Analysis views over KTAU snapshots: the two perspectives the paper is
 // built around (§1), plus the merged user/kernel profile.
 //
-//  - kernel-wide view: aggregate kernel activity across all processes of a
-//    node (Figure 2-A), or broken down per process (Figures 2-B, 7);
+//  - kernel-wide view: aggregate kernel activity across all processes of
+//    one node's snapshot (Figure 2-A); per-process breakdowns (Figures 2-B,
+//    7) fold each task with group_breakdown;
 //  - process-centric view: one process's kernel profile, grouped by kernel
 //    subsystem (call groups, Figure 4);
 //  - merged view: TAU user-level routines with kernel time subtracted
@@ -31,18 +32,9 @@ struct EventRow {
 };
 
 /// Kernel-wide view: per-event totals summed over every task in the
-/// snapshot (sorted by inclusive seconds, descending).
+/// snapshot and merged by event name (sorted by inclusive seconds,
+/// descending).
 std::vector<EventRow> aggregate_events(const meas::ProfileSnapshot& snap);
-
-/// Per-process totals: for each task, the total exclusive kernel seconds
-/// (optionally restricted to one group).  Sorted descending.
-struct TaskRow {
-  meas::Pid pid = 0;
-  std::string name;
-  double excl_sec = 0;
-  std::uint64_t events = 0;
-};
-std::vector<TaskRow> per_task_activity(const meas::ProfileSnapshot& snap);
 
 /// Call-group breakdown of one task's kernel profile: exclusive seconds
 /// per instrumentation group (sched / irq / bottom-half / syscall / net...).

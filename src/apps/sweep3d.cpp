@@ -122,6 +122,4 @@ SweepApp::SweepApp(mpi::World& world, const SweepParams& params)
   }
 }
 
-void SweepApp::install_and_launch() { world_.launch_all(); }
-
 }  // namespace ktau::apps

@@ -42,8 +42,6 @@ class SweepApp {
  public:
   SweepApp(mpi::World& world, const SweepParams& params);
 
-  void install_and_launch();
-
   tau::Profiler& profiler(int rank) { return *profs_.at(rank); }
   const SweepParams& params() const { return params_; }
   mpi::World& world() { return world_; }

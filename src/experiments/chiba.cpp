@@ -230,7 +230,7 @@ BuiltRun build(const ChibaRunConfig& cfg) {
     params.tau = tau_cfg;
     run.lu = std::make_unique<apps::LuApp>(*run.world, params);
   } else {
-    auto params = cfg.sweep_override.value_or(chiba_sweep_params(cfg));
+    auto params = chiba_sweep_params(cfg);
     params.tau = tau_cfg;
     run.sweep = std::make_unique<apps::SweepApp>(*run.world, params);
   }

@@ -103,10 +103,9 @@ struct ChibaRunConfig {
   std::optional<double> smp_dilation_override;
   std::optional<std::uint64_t> tcp_cache_penalty_override;
 
-  /// Workload parameter overrides (perturbation study uses its own LU-16
+  /// LU parameter override (perturbation study uses its own LU-16
   /// definition calibrated to the paper's ~470 s base time).
   std::optional<apps::LuParams> lu_override;
-  std::optional<apps::SweepParams> sweep_override;
 
   /// Enable kernel + TAU tracing (Figure 2-E style runs).
   bool tracing = false;

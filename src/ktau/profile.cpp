@@ -16,19 +16,6 @@ void AtomicMetrics::add(double v) {
   sum += v;
 }
 
-void AtomicMetrics::merge(const AtomicMetrics& o) {
-  if (o.count == 0) return;
-  if (count == 0) {
-    *this = o;
-    return;
-  }
-  count += o.count;
-  sum += o.sum;
-  min = std::min(min, o.min);
-  max = std::max(max, o.max);
-  epoch = std::max(epoch, o.epoch);
-}
-
 const std::uint64_t TaskProfile::kUnboundEpoch = 1;
 
 EventMetrics& TaskProfile::slot(EventId ev) {
@@ -118,21 +105,6 @@ const EventMetrics& TaskProfile::metrics(EventId ev) const {
   static const EventMetrics kEmpty;
   if (ev >= events_.size()) return kEmpty;
   return events_[ev];
-}
-
-void TaskProfile::merge(const TaskProfile& other) {
-  if (other.events_.size() > events_.size()) {
-    events_.resize(other.events_.size());
-  }
-  for (std::size_t i = 0; i < other.events_.size(); ++i) {
-    events_[i].merge(other.events_[i]);
-  }
-  for (const auto& [ev, am] : other.atomics_) atomics_[ev].merge(am);
-  for (const auto& [key, m] : other.bridge_) bridge_[key].merge(m);
-  for (const auto& [key, m] : other.edges_) edges_[key].merge(m);
-  for (const auto& [key, m] : other.requests_) request_row(key).merge(m);
-  callpath_ = callpath_ || other.callpath_;
-  dirty_epoch_ = std::max(dirty_epoch_, other.dirty_epoch_);
 }
 
 }  // namespace ktau::meas

@@ -35,13 +35,6 @@ struct EventMetrics {
   sim::Cycles incl = 0;  // inclusive cycles (includes child events)
   sim::Cycles excl = 0;  // exclusive cycles (child time subtracted)
   std::uint64_t epoch = 0;  // extraction epoch of the last mutation
-
-  void merge(const EventMetrics& o) {
-    count += o.count;
-    incl += o.incl;
-    excl += o.excl;
-    epoch = epoch > o.epoch ? epoch : o.epoch;
-  }
 };
 
 /// Statistics for one atomic (stand-alone value) event.
@@ -53,7 +46,6 @@ struct AtomicMetrics {
   std::uint64_t epoch = 0;  // extraction epoch of the last mutation
 
   void add(double v);
-  void merge(const AtomicMetrics& o);
   double mean() const { return count ? sum / static_cast<double>(count) : 0; }
 };
 
@@ -104,10 +96,6 @@ class TaskProfile {
   const std::unordered_map<EventId, AtomicMetrics>& atomics() const {
     return atomics_;
   }
-
-  /// Folds another profile into this one (used for kernel-wide aggregation
-  /// and for preserving the profiles of exited tasks).
-  void merge(const TaskProfile& other);
 
   // -- dirty epochs (delta snapshot support) --------------------------------
 

@@ -16,29 +16,8 @@ FuncId Profiler::reg(std::string_view name) {
   // group so kernel-side bridge rows can name it (merged views).
   ktau_ids_.push_back(machine_.ktau().map_event(name, meas::Group::User));
   metrics_.emplace_back();
-  is_phase_.push_back(false);
   by_name_.emplace(std::string(name), id);
   return id;
-}
-
-FuncId Profiler::reg_phase(std::string_view name) {
-  const FuncId id = reg(name);
-  is_phase_[id] = true;
-  return id;
-}
-
-FuncId Profiler::current_phase() const {
-  for (auto it = stack_.rbegin(); it != stack_.rend(); ++it) {
-    if (is_phase_[it->func]) return it->func;
-  }
-  return kNoPhase;
-}
-
-const FuncMetrics& Profiler::phase_metrics(FuncId phase, FuncId f) const {
-  static const FuncMetrics kEmpty;
-  const auto it = phase_metrics_.find(
-      (static_cast<std::uint64_t>(phase) << 32) | f);
-  return it == phase_metrics_.end() ? kEmpty : it->second;
 }
 
 FuncId Profiler::find(std::string_view name) const {
@@ -68,7 +47,7 @@ void Profiler::enter(FuncId f) {
   if (!cfg_.enabled) return;
   meas::CpuClock& clk = clock();
   const sim::Cycles now = clk.now_cycles();
-  stack_.push_back(Frame{f, now, 0, current_phase()});
+  stack_.push_back(Frame{f, now, 0});
   set_kernel_user_context();
   if (cfg_.tracing) trace_.push_back({clk.cursor, f, true});
   if (cfg_.charge_overhead) {
@@ -93,14 +72,6 @@ void Profiler::exit(FuncId f) {
   ++m.count;
   m.incl += incl;
   m.excl += excl;
-  // Phase-based breakdown: charge the activation to its enclosing phase.
-  FuncMetrics& pm = phase_metrics_[(static_cast<std::uint64_t>(
-                                       frame.enclosing_phase)
-                                    << 32) |
-                                   f];
-  ++pm.count;
-  pm.incl += incl;
-  pm.excl += excl;
   if (!stack_.empty()) stack_.back().child += incl;
   set_kernel_user_context();
   if (cfg_.tracing) trace_.push_back({clk.cursor, f, false});

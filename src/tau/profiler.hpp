@@ -78,14 +78,6 @@ class Profiler {
   /// per name; typically called once while building the program.
   FuncId reg(std::string_view name);
 
-  /// Registers a routine as a *phase* (paper §6 future work: "phase-based
-  /// profiling").  A phase behaves like a routine, but while it is active
-  /// every routine's metrics are additionally accumulated under it, so
-  /// analysis can ask "how did solve() behave during the init phase vs the
-  /// iterate phase".
-  FuncId reg_phase(std::string_view name);
-  bool is_phase(FuncId f) const { return is_phase_.at(f); }
-
   /// Enter/exit a user routine.  Must be called from the task's own program
   /// code (i.e. while the task is running).
   void enter(FuncId f);
@@ -102,19 +94,6 @@ class Profiler {
   /// look up rows of the kernel profile's bridge matrix.
   meas::EventId ktau_event(FuncId f) const { return ktau_ids_.at(f); }
 
-  /// Sentinel phase id for activity outside any registered phase.
-  static constexpr FuncId kNoPhase = 0xFFFFFFFFu;
-
-  /// Metrics of routine `f` while phase `phase` was the innermost active
-  /// phase (kNoPhase for top-level activity).  Zeroed metrics if the
-  /// combination never occurred.
-  const FuncMetrics& phase_metrics(FuncId phase, FuncId f) const;
-
-  /// All (phase, routine) combinations that occurred.
-  const std::unordered_map<std::uint64_t, FuncMetrics>& phase_table() const {
-    return phase_metrics_;
-  }
-
   const std::vector<UserTraceRecord>& trace() const { return trace_; }
 
   std::size_t stack_depth() const { return stack_.size(); }
@@ -127,11 +106,7 @@ class Profiler {
     FuncId func;
     sim::Cycles start;
     sim::Cycles child;
-    FuncId enclosing_phase;  // innermost phase active at entry
   };
-
-  /// Innermost active phase (kNoPhase if none).
-  FuncId current_phase() const;
 
   meas::CpuClock& clock();
   void set_kernel_user_context();
@@ -144,8 +119,6 @@ class Profiler {
   std::vector<meas::EventId> ktau_ids_;
   std::unordered_map<std::string, FuncId> by_name_;
   std::vector<FuncMetrics> metrics_;
-  std::vector<bool> is_phase_;
-  std::unordered_map<std::uint64_t, FuncMetrics> phase_metrics_;
   std::vector<Frame> stack_;
   std::vector<UserTraceRecord> trace_;
 };

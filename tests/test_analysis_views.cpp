@@ -3,6 +3,7 @@
 // rows, and renderer formatting edge cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "analysis/render.hpp"
@@ -70,13 +71,22 @@ TEST(Views, AggregateSumsAcrossTasksAndSorts) {
   EXPECT_TRUE(found);
 }
 
-TEST(Views, PerTaskActivitySortsDescending) {
-  const auto snap = make_snapshot();
-  const auto rows = per_task_activity(snap);
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].pid, 100u);
-  EXPECT_NEAR(rows[0].excl_sec, 1.0 + 0.1 + 0.1, 1e-9);
-  EXPECT_NEAR(rows[1].excl_sec, 0.12, 1e-9);
+TEST(Views, AggregateResolvesUnknownIdsLikeTheSnapshot) {
+  // Rows whose id is missing from the event table take the snapshot's
+  // lookup defaults (empty name, Group::Sched), and, sharing that name,
+  // fold into one row.
+  auto snap = make_snapshot();
+  snap.tasks[0].events.push_back({40, 1, 450'000, 450'000});
+  snap.tasks[1].events.push_back({41, 2, 900'000, 900'000});
+  const auto rows = aggregate_events(snap);
+  ASSERT_EQ(rows.size(), 4u);
+  const auto unknown =
+      std::find_if(rows.begin(), rows.end(),
+                   [](const EventRow& r) { return r.name.empty(); });
+  ASSERT_NE(unknown, rows.end());
+  EXPECT_EQ(meas::mask_of(unknown->group), meas::mask_of(meas::Group::Sched));
+  EXPECT_EQ(unknown->count, 3u);
+  EXPECT_NEAR(unknown->incl_sec, 0.003, 1e-12);
 }
 
 TEST(Views, GroupBreakdownFoldsByGroup) {

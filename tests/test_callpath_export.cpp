@@ -242,82 +242,6 @@ TEST(TauExport, MergedProfileSubtractsKernelTime) {
   EXPECT_NEAR(work_excl, 40'000, 3'000);
 }
 
-TEST(PhaseProfiling, BreaksRoutineMetricsDownByPhase) {
-  Cluster cluster;
-  Machine& m = cluster.add_machine(callpath_config());
-  Task& t = m.spawn("app");
-  tau::TauConfig tc;
-  tc.charge_overhead = false;
-  tau::Profiler prof(m, t, tc);
-  const auto p_init = prof.reg_phase("init_phase");
-  const auto p_iter = prof.reg_phase("iterate_phase");
-  const auto f_work = prof.reg("work");
-  EXPECT_TRUE(prof.is_phase(p_init));
-  EXPECT_FALSE(prof.is_phase(f_work));
-
-  t.program = [](tau::Profiler& p, tau::FuncId pi, tau::FuncId pt,
-                 tau::FuncId fw) -> Program {
-    p.enter(pi);
-    p.enter(fw);
-    co_await kernel::Compute{10 * kMillisecond};
-    p.exit(fw);
-    p.exit(pi);
-    p.enter(pt);
-    for (int i = 0; i < 3; ++i) {
-      p.enter(fw);
-      co_await kernel::Compute{20 * kMillisecond};
-      p.exit(fw);
-    }
-    p.exit(pt);
-  }(prof, p_init, p_iter, f_work);
-  m.launch(t);
-  cluster.run();
-
-  const auto freq = static_cast<double>(m.config().freq);
-  const auto& in_init = prof.phase_metrics(p_init, f_work);
-  const auto& in_iter = prof.phase_metrics(p_iter, f_work);
-  EXPECT_EQ(in_init.count, 1u);
-  EXPECT_EQ(in_iter.count, 3u);
-  EXPECT_NEAR(static_cast<double>(in_init.incl) / freq, 0.010, 0.001);
-  EXPECT_NEAR(static_cast<double>(in_iter.incl) / freq, 0.060, 0.002);
-  // Flat profile still aggregates everything.
-  EXPECT_EQ(prof.metrics(f_work).count, 4u);
-  // The phases themselves land under the no-phase context.
-  EXPECT_EQ(prof.phase_metrics(tau::Profiler::kNoPhase, p_init).count, 1u);
-  EXPECT_EQ(prof.phase_metrics(tau::Profiler::kNoPhase, p_iter).count, 1u);
-  // Unseen combination is zeroed.
-  EXPECT_EQ(prof.phase_metrics(p_init, p_iter).count, 0u);
-}
-
-TEST(PhaseProfiling, NestedPhasesChargeInnermost) {
-  Cluster cluster;
-  Machine& m = cluster.add_machine(callpath_config());
-  Task& t = m.spawn("app");
-  tau::TauConfig tc;
-  tc.charge_overhead = false;
-  tau::Profiler prof(m, t, tc);
-  const auto p_outer = prof.reg_phase("outer");
-  const auto p_inner = prof.reg_phase("inner");
-  const auto f_work = prof.reg("work");
-  t.program = [](tau::Profiler& p, tau::FuncId po, tau::FuncId pi,
-                 tau::FuncId fw) -> Program {
-    p.enter(po);
-    p.enter(pi);
-    p.enter(fw);
-    co_await kernel::Compute{5 * kMillisecond};
-    p.exit(fw);
-    p.exit(pi);
-    p.exit(po);
-  }(prof, p_outer, p_inner, f_work);
-  m.launch(t);
-  cluster.run();
-
-  EXPECT_EQ(prof.phase_metrics(p_inner, f_work).count, 1u);
-  EXPECT_EQ(prof.phase_metrics(p_outer, f_work).count, 0u);
-  // The inner phase itself is charged to the outer phase.
-  EXPECT_EQ(prof.phase_metrics(p_outer, p_inner).count, 1u);
-}
-
 TEST(Callpath, CorruptedEdgeSectionsRejectedNotCrashing) {
   // A callpath-enabled profile exercises the bridge/edge sections of the
   // binary codec; truncating or count-bombing those must yield a typed

@@ -1,10 +1,9 @@
 // Tests for the unified measurement data plane: the interned name table,
 // per-row dirty epochs, the cursor-carrying delta protocol, client-side
-// snapshot reassembly (ProfileAccumulator), delta extraction through the
-// daemons, and the single merge-by-name pipeline behind the views.
+// snapshot reassembly (ProfileAccumulator), and delta extraction through
+// the daemons.
 #include <gtest/gtest.h>
 
-#include "analysis/merge.hpp"
 #include "analysis/views.hpp"
 #include "clients/ktaud.hpp"
 #include "kernel/cluster.hpp"
@@ -286,163 +285,6 @@ TEST(KtaudDelta, SameResultsFewerBytesThanFullExtraction) {
   // The delta daemon archives its reassembled (cumulative) view each
   // period; the final archives must carry the same totals.
   expect_same_totals(full->profiles().back(), delta->profiles().back());
-}
-
-// -- MergePipeline ----------------------------------------------------------
-
-/// Two synthetic nodes whose kernels assigned opposite ids to the same two
-/// events — the exact situation that makes merge-by-id wrong.
-struct TwoNodes {
-  meas::ProfileSnapshot a;
-  meas::ProfileSnapshot b;
-
-  TwoNodes() {
-    a.cpu_freq = 1'000'000'000;
-    a.events = {{0, meas::Group::Sched, "schedule"},
-                {1, meas::Group::Net, "tcp_v4_rcv"}};
-    meas::TaskProfileData ta;
-    ta.pid = 7;
-    ta.name = "rank0";
-    ta.events = {{0, 10, 2'000'000'000, 1'000'000'000},
-                 {1, 4, 400'000'000, 400'000'000}};
-    a.tasks.push_back(std::move(ta));
-
-    b.cpu_freq = 2'000'000'000;  // different clock: merged in seconds
-    b.events = {{0, meas::Group::Net, "tcp_v4_rcv"},
-                {1, meas::Group::Sched, "schedule"}};
-    meas::TaskProfileData tb;
-    tb.pid = 7;  // pids collide across nodes; names merge, tasks don't
-    tb.name = "rank1";
-    tb.events = {{0, 6, 1'200'000'000, 1'200'000'000},
-                 {1, 20, 8'000'000'000, 6'000'000'000}};
-    b.tasks.push_back(std::move(tb));
-  }
-};
-
-TEST(MergePipeline, MergesEventsByNameAcrossConflictingIdSpaces) {
-  const TwoNodes nodes;
-  analysis::MergePipeline p;
-  p.add(nodes.a).add(nodes.b);
-  ASSERT_EQ(p.source_count(), 2u);
-
-  const auto rows = p.event_rows();
-  ASSERT_EQ(rows.size(), 2u);  // merged by name, not by id
-  const auto& sched = rows[0].name == "schedule" ? rows[0] : rows[1];
-  const auto& tcp = rows[0].name == "schedule" ? rows[1] : rows[0];
-  EXPECT_EQ(sched.name, "schedule");
-  EXPECT_EQ(sched.group, meas::Group::Sched);
-  EXPECT_EQ(sched.count, 30u);  // 10 @ node a + 20 @ node b
-  EXPECT_DOUBLE_EQ(sched.incl_sec, 2.0 + 4.0);
-  EXPECT_DOUBLE_EQ(sched.excl_sec, 1.0 + 3.0);
-  EXPECT_EQ(tcp.count, 10u);
-  EXPECT_DOUBLE_EQ(tcp.excl_sec, 0.4 + 0.6);
-  // Sorted by inclusive seconds descending.
-  EXPECT_GE(rows[0].incl_sec, rows[1].incl_sec);
-}
-
-TEST(MergePipeline, TaskRowsKeepPerNodeTasksSeparate) {
-  const TwoNodes nodes;
-  analysis::MergePipeline p;
-  p.add(nodes.a).add(nodes.b);
-  const auto rows = p.task_rows();
-  ASSERT_EQ(rows.size(), 2u);  // same pid on both nodes stays two rows
-  EXPECT_EQ(rows[0].name, "rank1");  // busier node first
-  EXPECT_DOUBLE_EQ(rows[0].excl_sec, 3.0 + 0.6);
-  EXPECT_EQ(rows[1].name, "rank0");
-  EXPECT_DOUBLE_EQ(rows[1].excl_sec, 1.0 + 0.4);
-}
-
-TEST(MergePipeline, GroupTotalsSpanSources) {
-  const TwoNodes nodes;
-  analysis::MergePipeline p;
-  p.add(nodes.a).add(nodes.b);
-  const auto groups = p.group_totals();
-  EXPECT_DOUBLE_EQ(groups.at(meas::Group::Sched), 1.0 + 3.0);
-  EXPECT_DOUBLE_EQ(groups.at(meas::Group::Net), 0.4 + 0.6);
-}
-
-TEST(MergePipeline, SingleSourceMatchesLegacyViews) {
-  Cluster cluster;
-  Machine& m = cluster.add_machine(quiet());
-  Task& t = m.spawn("app");
-  t.program = busy_loop(10);
-  m.launch(t);
-  cluster.run();
-
-  KtauHandle handle(m.proc());
-  const auto snap = handle.get_profile(meas::Scope::All);
-  analysis::MergePipeline p;
-  p.add(snap);
-  // aggregate_events / per_task_activity are thin wrappers over the
-  // pipeline now; a one-source pipeline must reproduce them exactly.
-  const auto legacy_events = analysis::aggregate_events(snap);
-  const auto merged_events = p.event_rows();
-  ASSERT_EQ(merged_events.size(), legacy_events.size());
-  for (std::size_t i = 0; i < legacy_events.size(); ++i) {
-    EXPECT_EQ(merged_events[i].name, legacy_events[i].name);
-    EXPECT_EQ(merged_events[i].count, legacy_events[i].count);
-    EXPECT_DOUBLE_EQ(merged_events[i].incl_sec, legacy_events[i].incl_sec);
-  }
-  EXPECT_EQ(p.task_rows().size(), analysis::per_task_activity(snap).size());
-}
-
-TEST(MergePipeline, AddFrameConsumesBothWireVersions) {
-  Cluster cluster;
-  Machine& m = cluster.add_machine(quiet());
-  Task& t = m.spawn("app");
-  t.program = busy_loop(40);
-  m.launch(t);
-  cluster.run_until(50 * kMillisecond);
-
-  // Source 0: one zero-cursor (full) frame.  Source 1: a delta stream.
-  const std::size_t fsize =
-      m.proc().profile_size(meas::Scope::All, {}, meas::ProfileCursor{});
-  std::vector<std::byte> full_frame;
-  ASSERT_TRUE(m.proc().profile_read(meas::Scope::All, {},
-                                    meas::ProfileCursor{}, fsize, full_frame));
-
-  analysis::MergePipeline p;
-  p.add_frame(0, full_frame);
-
-  meas::ProfileCursor cursor;
-  for (const sim::TimeNs until : {sim::TimeNs{50 * kMillisecond},
-                                  sim::TimeNs{120 * kMillisecond}}) {
-    cluster.run_until(until);
-    const std::size_t dsize =
-        m.proc().profile_size(meas::Scope::All, {}, cursor);
-    std::vector<std::byte> frame;
-    ASSERT_TRUE(
-        m.proc().profile_read(meas::Scope::All, {}, cursor, dsize, frame));
-    const auto snap = meas::decode_profile(frame);
-    cursor = {snap.next_epoch,
-              snap.name_base + static_cast<std::uint32_t>(snap.events.size())};
-    p.add_frame(1, frame);
-  }
-
-  // The reassembled source must equal a fresh full read.
-  KtauHandle fresh(m.proc());
-  const auto full_now = fresh.get_profile(meas::Scope::All);
-  expect_same_totals(full_now, p.source(1));
-  // And the merge serves rows covering both sources.
-  EXPECT_GT(p.event_rows().size(), 0u);
-}
-
-TEST(MergePipeline, AddFrameRejectsSparseKeysAndViewSources) {
-  const TwoNodes nodes;
-  analysis::MergePipeline p;
-  p.add(nodes.a);
-  std::vector<std::byte> junk(16, std::byte{0x42});
-  EXPECT_THROW(p.add_frame(5, junk), std::logic_error);  // sparse key
-  EXPECT_THROW(p.add_frame(0, junk), std::logic_error);  // view source
-}
-
-TEST(NameIndex, UnknownIdsUseSnapshotContract) {
-  const TwoNodes nodes;
-  const analysis::NameIndex idx(nodes.a.events);
-  EXPECT_EQ(idx.name(0), "schedule");
-  EXPECT_EQ(idx.group(1), meas::Group::Net);
-  EXPECT_EQ(idx.name(99), std::string_view{});
-  EXPECT_EQ(idx.group(99), meas::Group::Sched);
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 //     structure);
 //   - the byte-identity contract: run_matrix output (stdout and JSON) is
 //     identical for --jobs 1 and --jobs 4, including salted repeats;
+//   - --seed reaches a real scenario: ktaud_scale's trial metrics differ
+//     between --seed 1 and --seed 2;
 //   - trial exceptions turn into a failed "all trials completed" gate and
 //     an "error" entry in the JSON document; a JSON document that cannot
 //     be written counts as a failure;
@@ -30,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/matrixdoc.hpp"
 #include "analysis/report.hpp"
 #include "experiments/chiba.hpp"
 #include "experiments/harness.hpp"
@@ -515,6 +518,40 @@ TEST(RunMatrixShard, EmptyShardIsNotAnError) {
 }
 
 // ---------------------------------------------------------------------------
+// --seed reaches a real scenario's machines (ktaud_scale is linked in)
+// ---------------------------------------------------------------------------
+
+/// Trial metrics of a one-scenario, one-repeat document, in trial order.
+std::vector<std::vector<std::pair<std::string, double>>> trial_metrics(
+    const std::string& json) {
+  const analysis::MatrixDoc doc = analysis::parse_matrix_doc(json);
+  std::vector<std::vector<std::pair<std::string, double>>> out;
+  if (doc.scenarios.size() != 1 || doc.scenarios[0].repeats.size() != 1) {
+    return out;
+  }
+  for (const auto& trial : doc.scenarios[0].repeats[0].trials) {
+    out.push_back(trial.metrics);
+  }
+  return out;
+}
+
+TEST(RunMatrix, SeedMovesKtaudScaleTrialMetrics) {
+  ASSERT_NE(find_scenario("ktaud_scale"), nullptr);
+  const auto one = run_filtered({"ktaud_scale"}, 1, 1, true, 1, true);
+  const auto two = run_filtered({"ktaud_scale"}, 1, 1, true, 2, true);
+  const auto m1 = trial_metrics(one.json);
+  const auto m2 = trial_metrics(two.json);
+  ASSERT_EQ(m1.size(), 3u);  // full, delta, delta2
+  ASSERT_EQ(m2.size(), 3u);
+  // The seed drives the machine's probe-cost draws, so the trial metrics
+  // move with it...
+  EXPECT_NE(m1, m2) << "--seed never reached the scenario's machines";
+  // ...while the determinism partner keeps its partner's seed.
+  EXPECT_EQ(m1[1], m1[2]);
+  EXPECT_EQ(m2[1], m2[2]);
+}
+
+// ---------------------------------------------------------------------------
 // Cross-trial isolation: whole sim instances are safe to run concurrently
 // ---------------------------------------------------------------------------
 
@@ -723,11 +760,6 @@ TEST(ChibaRunStore, DifferingConfigsDoNotShare) {
       [](auto& c) {
         c.lu_override = apps::LuParams{};
         c.lu_override->tau.inner_pairs = 1;
-      },
-      [](auto& c) { c.sweep_override = apps::SweepParams{}; },
-      [](auto& c) {
-        c.sweep_override = apps::SweepParams{};
-        c.sweep_override->jitter = 0;
       },
       [](auto& c) { c.tracing = true; },
       [](auto& c) { c.faults.victims = {0}; },

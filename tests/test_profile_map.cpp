@@ -1,8 +1,7 @@
 // FlatKeyMap unit tests and TaskProfile edge cases for the probe-hot-path
 // flat maps (bridge matrix + call-path edges) and the tag-chained request
-// rows: growth across rehashes, collision chains, deep nesting, merges of
-// disjoint and overlapping key sets, frames that outlive their request,
-// and callpath-on/off parity of the flat profile.
+// rows: growth across rehashes, collision chains, deep nesting, frames that
+// outlive their request, and callpath-on/off parity of the flat profile.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -112,86 +111,6 @@ TEST(ProfileMap, DeepNestingAttributesInclusiveExclusive) {
   EXPECT_EQ(p.edges().size(), static_cast<std::size_t>(kDepth));
   EXPECT_EQ(p.edges().at(bridge_key(kCallpathRoot, 0)).count, 1u);
   EXPECT_EQ(p.edges().at(bridge_key(5, 6)).count, 1u);
-}
-
-TEST(ProfileMap, MergeOfDisjointKeySets) {
-  TaskProfile a;
-  a.enable_callpath(true);
-  a.set_user_context(100);
-  a.set_request_tag(5);
-  a.entry(1, 0);
-  a.exit(1, 10);
-
-  TaskProfile b;
-  b.enable_callpath(true);
-  b.set_user_context(200);
-  b.set_request_tag(6);
-  b.entry(2, 0);
-  b.exit(2, 30);
-
-  a.merge(b);
-  // Flat rows for both events.
-  EXPECT_EQ(a.metrics(1).count, 1u);
-  EXPECT_EQ(a.metrics(2).count, 1u);
-  // Disjoint bridge rows both present, untouched by each other.
-  EXPECT_EQ(a.bridge().at(bridge_key(100, 1)).incl, 10u);
-  EXPECT_EQ(a.bridge().at(bridge_key(200, 2)).incl, 30u);
-  EXPECT_EQ(a.bridge().size(), 2u);
-  // Disjoint call-path edges both present.
-  EXPECT_EQ(a.edges().at(bridge_key(kCallpathRoot, 1)).count, 1u);
-  EXPECT_EQ(a.edges().at(bridge_key(kCallpathRoot, 2)).count, 1u);
-  // Disjoint request rows: a's own row, then b's appended after it.
-  ASSERT_EQ(a.requests().size(), 2u);
-  EXPECT_EQ(a.requests()[0].first, bridge_key(5, 1));
-  EXPECT_EQ(a.requests()[0].second.count, 1u);
-  EXPECT_EQ(a.requests()[0].second.incl, 10u);
-  EXPECT_EQ(a.requests()[0].second.excl, 10u);
-  EXPECT_EQ(a.requests()[1].first, bridge_key(6, 2));
-  EXPECT_EQ(a.requests()[1].second.count, 1u);
-  EXPECT_EQ(a.requests()[1].second.incl, 30u);
-  EXPECT_EQ(a.requests()[1].second.excl, 30u);
-  // The merged row joined tag 6's chain: a later exit finds it.
-  a.set_request_tag(6);
-  a.entry(2, 40);
-  a.exit(2, 45);
-  ASSERT_EQ(a.requests().size(), 2u);
-  EXPECT_EQ(a.requests()[1].second.count, 2u);
-  EXPECT_EQ(a.requests()[1].second.incl, 35u);
-}
-
-TEST(ProfileMap, MergeOfOverlappingKeysAccumulates) {
-  const std::uint64_t epoch_a = 4;
-  const std::uint64_t epoch_b = 2;
-  TaskProfile a;
-  a.bind_epoch(&epoch_a);
-  a.set_user_context(100);
-  a.set_request_tag(5);
-  a.entry(1, 0);
-  a.exit(1, 10);
-
-  TaskProfile b;
-  b.bind_epoch(&epoch_b);
-  b.set_user_context(100);
-  b.set_request_tag(5);
-  b.entry(1, 0);
-  b.exit(1, 25);
-
-  a.merge(b);
-  EXPECT_EQ(a.metrics(1).count, 2u);
-  EXPECT_EQ(a.metrics(1).incl, 35u);
-  const EventMetrics& row = a.bridge().at(bridge_key(100, 1));
-  EXPECT_EQ(row.count, 2u);
-  EXPECT_EQ(row.incl, 35u);
-  EXPECT_EQ(a.bridge().size(), 1u);
-  // One request row: counts and cycles summed, epoch the newer of the two
-  // (not the last writer's).
-  ASSERT_EQ(a.requests().size(), 1u);
-  const auto& [key, req] = a.requests()[0];
-  EXPECT_EQ(key, bridge_key(5, 1));
-  EXPECT_EQ(req.count, 2u);
-  EXPECT_EQ(req.incl, 35u);
-  EXPECT_EQ(req.excl, 35u);
-  EXPECT_EQ(req.epoch, 4u);
 }
 
 TEST(ProfileMap, StragglerFrameCreditsTheTagItEnteredUnder) {

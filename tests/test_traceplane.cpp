@@ -1,7 +1,7 @@
 // Tests for the cursor-based trace data plane: TraceBuffer sequence
 // cursors and typed loss, the wire-v4 trace codec, libKtau's trace cursor,
 // the daemons' charge-only-what-shipped accounting, and the loss-aware
-// merge/export path (gap records through KTL and the timeline view).
+// frame merge (gap records through to the timeline view).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -438,7 +438,7 @@ TEST(TraceDrains, ExitedTaskTailShipsOnNamedPidRead) {
   EXPECT_EQ(seen.dropped, 0u);
 }
 
-// -- loss-aware merge and export --------------------------------------------
+// -- loss-aware merge and timeline -------------------------------------------
 
 meas::TraceSnapshot frame_with(meas::Pid pid, std::uint64_t base,
                                std::vector<meas::TraceRecord> records,
@@ -478,6 +478,7 @@ TEST(TraceMerge, ConcatenatesFramesAndAccumulatesGaps) {
   EXPECT_EQ(t.records[2], rec(4));
   EXPECT_EQ(t.dropped, 2u);
   ASSERT_EQ(t.gaps.size(), 1u);
+  EXPECT_EQ(t.gaps[0].before, rec(4).timestamp);  // first surviving record
   EXPECT_EQ(t.gaps[0].dropped, 2u);
   EXPECT_EQ(t.gaps[0].first_seq, 2u);
   EXPECT_EQ(t.next_seq, 6u);
@@ -495,6 +496,7 @@ TEST(TraceMerge, CursorDiscontinuitySynthesizesGap) {
   const auto& t = merged.tasks[0];
   EXPECT_EQ(t.dropped, 3u);  // seqs 2,3,4 unaccounted for
   ASSERT_EQ(t.gaps.size(), 1u);
+  EXPECT_EQ(t.gaps[0].before, rec(5).timestamp);  // frame 2's first record
   EXPECT_EQ(t.gaps[0].dropped, 3u);
   EXPECT_EQ(t.gaps[0].first_seq, 2u);
   EXPECT_EQ(t.records.size(), 4u);
@@ -512,56 +514,6 @@ TEST(TraceMerge, ContiguousFramesMergeWithoutGaps) {
   EXPECT_EQ(merged.tasks[0].next_seq, 4u);
 }
 
-TEST(TraceExportGaps, KtlGapLinesRoundTrip) {
-  const auto snap = frame_with(7, 3, {rec(4), rec(5)}, 1);  // lost seq 3
-  analysis::TraceStream stream;
-  stream.pid = 7;
-  stream.name = "app";
-  stream.ktrace = &snap;
-
-  std::ostringstream os;
-  analysis::export_ktl(os, snap.cpu_freq, {stream});
-  const std::string text = os.str();
-  EXPECT_NE(text.find("\nG\t"), std::string::npos);
-
-  const auto file = analysis::read_ktl(text);
-  std::size_t gaps = 0;
-  for (const auto& e : file.events) {
-    if (e.kind != analysis::KtlEvent::Kind::Gap) continue;
-    ++gaps;
-    EXPECT_EQ(e.dropped, 1u);
-    EXPECT_EQ(e.first_seq, 3u);
-    EXPECT_TRUE(e.is_kernel);
-    EXPECT_EQ(e.timestamp, snap.tasks[0].records.front().timestamp);
-  }
-  EXPECT_EQ(gaps, 1u);
-
-  // The gap's stamp is an upper bound, so it precedes the same-stamp event.
-  std::size_t gap_at = 0, first_event_at = 0;
-  for (std::size_t i = 0; i < file.events.size(); ++i) {
-    if (file.events[i].kind == analysis::KtlEvent::Kind::Gap) gap_at = i;
-  }
-  for (std::size_t i = 0; i < file.events.size(); ++i) {
-    if (file.events[i].kind != analysis::KtlEvent::Kind::Gap &&
-        file.events[i].timestamp == snap.tasks[0].records.front().timestamp) {
-      first_event_at = i;
-      break;
-    }
-  }
-  EXPECT_LT(gap_at, first_event_at);
-}
-
-TEST(TraceExportGaps, GaplessExportHasNoGapLines) {
-  const auto snap = frame_with(7, 0, {rec(0), rec(1)});
-  analysis::TraceStream stream;
-  stream.pid = 7;
-  stream.name = "app";
-  stream.ktrace = &snap;
-  std::ostringstream os;
-  analysis::export_ktl(os, snap.cpu_freq, {stream});
-  EXPECT_EQ(os.str().find("\nG\t"), std::string::npos);
-}
-
 TEST(TraceTimeline, GapRendersAsLossMarker) {
   const auto snap = frame_with(7, 2, {rec(4), rec(5)}, 2);
   // Empty user side: an idle profiler on a quiet machine records nothing.
@@ -575,9 +527,16 @@ TEST(TraceTimeline, GapRendersAsLossMarker) {
     if (e.is_gap) {
       ++gap_events;
       EXPECT_EQ(e.lost, 2u);
+      EXPECT_EQ(e.timestamp, snap.tasks[0].records.front().timestamp);
     }
   }
   EXPECT_EQ(gap_events, 1u);
+  // The gap's stamp is an upper bound, so it sorts ahead of the first
+  // surviving record, which carries the same stamp.
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_TRUE(events[0].is_gap);
+  EXPECT_FALSE(events[1].is_gap);
+  EXPECT_EQ(events[1].timestamp, events[0].timestamp);
 
   std::ostringstream os;
   analysis::render_timeline(os, "with loss", events);
